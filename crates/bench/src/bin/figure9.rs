@@ -8,50 +8,37 @@
 //! `fcns` (spurious functions / total), `inst` (spurious type variables
 //! instantiated at boxed types / total instantiations), `diff` (whether
 //! the spurious machinery changed the generated code), wall-clock time
-//! per strategy, peak memory (`rss`), and collection counts (`gc`).
+//! per strategy (best of `repeats`, default 3), peak memory (`rss`), and
+//! collection counts (`gc`). Rows run one at a time, so each time is
+//! taken on an otherwise idle core.
 //!
-//! Besides the rendered table on stdout, the run writes
-//! `BENCH_figure9.json` to the current directory: the same rows in
-//! machine-readable form (per-program compile time plus per-strategy run
-//! time, steps, allocation, peak bytes, and gc counts).
+//! Two further tables follow: the suite's compile time per strategy with
+//! its phase split, and the fixed ablations (spurious-variable style, GC
+//! threshold, generational collection, tag-free representation), timed
+//! the same way.
 //!
-//! Compilations are cached on disk (serialized IR + statistics) in
-//! `.rml-bench-cache/`, so a repeated run skips the pipeline entirely.
-//! Set `RML_BENCH_CACHE` to relocate the cache, or to `off` to disable
-//! it. Entries are keyed by content hash, so stale entries are never
-//! read — delete the directory to reclaim the space.
+//! The run also writes `BENCH_figure9.json` to the current directory:
+//! the rows and ablations in machine-readable form, each run carrying
+//! its full metrics snapshot.
 
 fn main() {
     // A non-numeric repeats argument fails loudly (exit 2) instead of
     // silently falling back to 3 best-of runs.
     let repeats = rml_bench::arg_u64(1, "repeats", 3) as usize;
-    let cache_setting = std::env::var("RML_BENCH_CACHE").unwrap_or_default();
-    let cache_dir = match cache_setting.as_str() {
-        "off" | "0" => None,
-        "" => Some(std::path::PathBuf::from(".rml-bench-cache")),
-        p => Some(std::path::PathBuf::from(p)),
-    };
-    eprintln!(
-        "running the Figure 9 suite (best of {repeats}, cache {})...",
-        cache_dir
-            .as_deref()
-            .map_or("off".to_string(), |p| p.display().to_string())
-    );
+    eprintln!("running the Figure 9 suite (best of {repeats})...");
     let t0 = std::time::Instant::now();
-    let rows = rml_bench::figure9_cached(repeats, cache_dir.as_deref());
+    let rows = rml_bench::figure9(repeats);
     let wall = t0.elapsed();
     println!("{}", rml_bench::render(&rows));
-    let compile_ms: f64 = rows
-        .iter()
-        .map(|r| r.compile_time.as_secs_f64() * 1000.0)
-        .sum();
+    println!("{}", rml_bench::render_compile(&rows));
     eprintln!(
-        "suite wall time {:.1}ms ({} compilations, {:.1}ms compiling)",
+        "suite wall time {:.1}ms ({} compilations)",
         wall.as_secs_f64() * 1000.0,
         rml::compile_count(),
-        compile_ms,
     );
-    let json = rml_bench::to_json(&rows);
+    let ablations = rml_bench::ablations(repeats);
+    println!("{}", rml_bench::render_ablations(&ablations));
+    let json = rml_bench::to_json(&rows, &ablations);
     match std::fs::write("BENCH_figure9.json", &json) {
         Ok(()) => eprintln!("wrote BENCH_figure9.json"),
         Err(e) => eprintln!("could not write BENCH_figure9.json: {e}"),

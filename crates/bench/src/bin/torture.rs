@@ -18,7 +18,11 @@
 //!   2,000,000; CI uses a reduced budget). Steps are
 //!   schedule-independent, so running out of fuel is itself a
 //!   deterministic, agreeing outcome.
-//! * `RML_BENCH_CACHE` — same compile cache as the `figure9` binary.
+//!
+//! The summary line also reports value coverage: how many matrix cells
+//! ran to a value (the rest agreed on a fault, usually running out of
+//! fuel) and how many programs got far enough for the fault probes to
+//! run. Coverage is reported, not gated.
 //!
 //! Exit status is non-zero when any program diverges.
 
@@ -27,12 +31,6 @@ fn main() {
     // `RML_TORTURE_FUEL=2m` must not silently torture with the default.
     let seed = rml_bench::arg_u64(1, "seed", 0x7041_10E5);
     let fuel = rml_bench::env_u64("RML_TORTURE_FUEL", 2_000_000);
-    let cache_setting = std::env::var("RML_BENCH_CACHE").unwrap_or_default();
-    let cache_dir = match cache_setting.as_str() {
-        "off" | "0" => None,
-        "" => Some(std::path::PathBuf::from(".rml-bench-cache")),
-        p => Some(std::path::PathBuf::from(p)),
-    };
     let opts = rml::torture::TortureOpts {
         seed,
         fuel,
@@ -41,7 +39,7 @@ fn main() {
     };
     eprintln!("torturing the suite (seed {seed:#x}, fuel {fuel})...");
     let t0 = std::time::Instant::now();
-    let reports = rml_bench::differential(&opts, cache_dir.as_deref());
+    let reports = rml_bench::differential(&opts);
     let wall = t0.elapsed();
     let mut failed = 0;
     for rep in &reports {
@@ -68,10 +66,19 @@ fn main() {
             print!("{}", rep.render());
         }
     }
+    let cells: Vec<_> = reports.iter().flat_map(|r| &r.cells).collect();
+    let valued = cells
+        .iter()
+        .filter(|c| matches!(c.outcome, rml::torture::Outcome::Value { .. }))
+        .count();
+    let probed = reports.iter().filter(|r| !r.probes.is_empty()).count();
     eprintln!(
-        "torture wall time {:.1}ms, {}/{} programs passed",
+        "torture wall time {:.1}ms, {}/{} programs passed, {valued}/{} cells reached a value, \
+         probes ran on {probed}/{} programs",
         wall.as_secs_f64() * 1000.0,
         reports.len() - failed,
+        reports.len(),
+        cells.len(),
         reports.len()
     );
     if failed > 0 {

@@ -5,30 +5,24 @@
 //! spurious-instantiation counts, whether the spurious machinery changed
 //! the generated code (`diff`), and — per compilation strategy (`rg`,
 //! `rg-`, `r`, plus the regionless `baseline` standing in for MLton) —
-//! execution time, machine steps, allocation, peak memory (the simulated
-//! RSS), and the number of reference-tracing collections.
+//! execution time and the run's [`MetricsSnapshot`]: machine steps,
+//! allocation, peak memory (the simulated RSS), and the number of
+//! reference-tracing collections.
 //!
-//! Every program is compiled **at most once per strategy** (three
+//! Every program is compiled **exactly once per strategy** (three
 //! compilations per program, see [`CompiledSet`]); the statistics
 //! columns, the `diff` column, and all four measurements share those
 //! compilations. The basis library's own statistics (subtracted from the
-//! per-program columns) are compiled once per process.
+//! per-program columns) are compiled once per process. Rows run one after
+//! another, so each timing column measures an otherwise idle core.
 //!
-//! Two further layers keep repeated runs cheap:
-//!
-//! * a **disk compile cache** ([`compile_set_cached`]): each compiled
-//!   program is persisted as serialized region-annotated IR
-//!   (`rml_core::ir`) plus its Figure 9 statistics, keyed by a content
-//!   hash of the source, the strategy, and the IR format version. A warm
-//!   cache makes a `figure9` run perform **zero** compilations;
-//! * a **work-stealing row queue** ([`figure9`]): a fixed pool of workers
-//!   (one per available core, capped at the row count) pulls program
-//!   indices from a shared atomic counter, so a slow row no longer holds
-//!   up an idle thread. Results are slotted by index, keeping the table
-//!   order deterministic.
+//! [`ablations`] measures four design choices the same way, and
+//! [`differential`] runs the torture oracle over the suite (the `torture`
+//! binary).
 
-use rml::{compile_with_basis, execute, programs::Program, ExecOpts, Json, Strategy};
-use std::path::{Path, PathBuf};
+use rml::{compile_with_basis, execute, programs::Program, ExecOpts, Json, MetricsSnapshot};
+use rml::{SpuriousStyle, Strategy};
+use rml_eval::GcPolicy;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -59,36 +53,17 @@ pub fn arg_u64(nth: usize, what: &str, default: u64) -> u64 {
     }
 }
 
-/// Per-strategy measurements.
+/// One measured run: a label, its best-of-`repeats` time, and the
+/// metrics snapshot of the run — the only copy of its counters.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Strategy label (`rg`, `rg-`, `r`, `baseline`).
+    /// Strategy or variant label (`rg`, `rg-`, `r`, `baseline`, …).
     pub label: &'static str,
-    /// Wall-clock time of the run (best of `repeats`).
+    /// Wall-clock time (best of `repeats`).
     pub time: Duration,
-    /// Machine steps (deterministic time proxy).
-    pub steps: u64,
-    /// Bytes allocated.
-    pub alloc_bytes: u64,
-    /// Peak live bytes (the paper's `rss`).
-    pub peak_bytes: u64,
-    /// Reference-tracing collections (the paper's `gc #`).
-    pub gc_count: u64,
-    /// Collections forced by a stress schedule (torture rig; 0 under the
-    /// default heuristic policy).
-    pub forced_gcs: u64,
-    /// Heap-invariant verifier walks performed (torture rig).
-    pub verify_walks: u64,
-    /// Injected faults the machine survived: probes that unwound with a
-    /// structured error and left the next clean run unaffected (torture
-    /// rig; only the `rg+torture` measurement probes).
-    pub faults_survived: u64,
-    /// Whether the run crashed (dangling pointer under `rg-`).
-    pub crashed: bool,
-    /// The unified metrics snapshot (per-phase compile times, store
-    /// counters, heap stats, GC pause percentiles); `None` when the run
-    /// crashed. Embedded per-run in `BENCH_figure9.json`.
-    pub metrics: Option<rml::MetricsSnapshot>,
+    /// Steps, heap statistics, GC pauses and compile timings of the run,
+    /// or the run error (a dangling pointer under `rg-`).
+    pub metrics: Result<MetricsSnapshot, String>,
 }
 
 /// One row of the table.
@@ -106,11 +81,7 @@ pub struct Row {
     pub diff: bool,
     /// Total wall-clock compilation time across the three strategies.
     pub compile_time: Duration,
-    /// Measurements for rg, rg-, r, baseline, rg+torture (in that
-    /// order). The last is the robustness measurement: `rg` under a
-    /// stress schedule with heap verification, plus fault-injection
-    /// probes — its overhead relative to the plain `rg` column is the
-    /// torture rig's cost, visible in the perf trajectory.
+    /// Measurements for rg, rg-, r, baseline (in that order).
     pub runs: Vec<Measurement>,
 }
 
@@ -124,187 +95,22 @@ pub struct CompiledSet {
     pub rgm: rml::Compiled,
     /// The `r` compilation.
     pub r: rml::Compiled,
-    /// Compilations performed to build this set (always 3; asserted by
-    /// the cache tests against the process-wide counter).
-    pub compiles: usize,
 }
 
 /// Compiles a program under all three strategies, once each.
 pub fn compile_set(p: &Program) -> CompiledSet {
-    compile_set_cached(p, None)
-}
-
-// --- the disk compile cache ---------------------------------------------
-//
-// Entry layout (all integers little-endian):
-//
-//   "RMLB"  u32 cache-version
-//   5 × u64 Figure 9 statistics (spurious/total fns, spurious/total
-//           insts, name count) followed by the length-prefixed names
-//   u64     IR byte length, then the `rml_core::ir` encoding itself
-//
-// Entries are keyed by an FNV-1a content hash of (source, strategy,
-// IR format version), so editing a program or bumping the IR format
-// simply misses the old entry — stale files are never *read*, only
-// eventually overwritten or left to be deleted by hand.
-
-const CACHE_MAGIC: &[u8; 4] = b"RMLB";
-const CACHE_VERSION: u32 = 1;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn strategy_label(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Rg => "rg",
-        Strategy::RgMinus => "rgm",
-        Strategy::R => "r",
-    }
-}
-
-fn cache_path(dir: &Path, p: &Program, s: Strategy) -> PathBuf {
-    let mut keyed = Vec::new();
-    keyed.extend_from_slice(p.source.as_bytes());
-    keyed.push(0);
-    keyed.extend_from_slice(strategy_label(s).as_bytes());
-    keyed.push(0);
-    keyed.extend_from_slice(&rml_core::ir::VERSION.to_le_bytes());
-    dir.join(format!(
-        "{}-{}-{:016x}.rmlb",
-        p.name,
-        strategy_label(s),
-        fnv1a(&keyed)
-    ))
-}
-
-fn encode_entry(c: &rml::Compiled) -> Vec<u8> {
-    let ir = rml::emit_ir(c);
-    let st = &c.output.stats;
-    let mut buf = Vec::with_capacity(ir.len() + 128);
-    buf.extend_from_slice(CACHE_MAGIC);
-    buf.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-    for n in [
-        st.spurious_fns,
-        st.total_fns,
-        st.spurious_boxed_insts,
-        st.total_insts,
-        st.spurious_fn_names.len(),
-    ] {
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-    }
-    for name in &st.spurious_fn_names {
-        buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
-        buf.extend_from_slice(name.as_bytes());
-    }
-    buf.extend_from_slice(&(ir.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&ir);
-    buf
-}
-
-fn decode_entry(bytes: &[u8], strategy: Strategy) -> Option<rml::Compiled> {
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = bytes.get(*at..*at + n)?;
-        *at += n;
-        Some(s)
+    let get = |s: Strategy, what: &str| {
+        compile_with_basis(p.source, s).unwrap_or_else(|e| panic!("compile {what}: {e}"))
     };
-    let take_u64 =
-        |at: &mut usize| -> Option<u64> { Some(u64::from_le_bytes(take(at, 8)?.try_into().ok()?)) };
-    if take(&mut at, 4)? != CACHE_MAGIC {
-        return None;
-    }
-    if take(&mut at, 4)? != CACHE_VERSION.to_le_bytes() {
-        return None;
-    }
-    let spurious_fns = take_u64(&mut at)? as usize;
-    let total_fns = take_u64(&mut at)? as usize;
-    let spurious_boxed_insts = take_u64(&mut at)? as usize;
-    let total_insts = take_u64(&mut at)? as usize;
-    let n_names = take_u64(&mut at)? as usize;
-    if n_names > bytes.len() {
-        return None; // corrupt count; bail before allocating
-    }
-    let mut spurious_fn_names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        let len = take_u64(&mut at)? as usize;
-        let s = take(&mut at, len)?;
-        spurious_fn_names.push(String::from_utf8(s.to_vec()).ok()?);
-    }
-    let ir_len = take_u64(&mut at)? as usize;
-    let ir = take(&mut at, ir_len)?;
-    if at != bytes.len() {
-        return None; // trailing garbage
-    }
-    let mut c = rml::load_ir(ir, strategy).ok()?;
-    c.output.stats = rml_infer::Stats {
-        spurious_fns,
-        total_fns,
-        spurious_boxed_insts,
-        total_insts,
-        spurious_fn_names,
-    };
-    Some(c)
-}
-
-fn cache_load(dir: &Path, p: &Program, s: Strategy) -> Option<rml::Compiled> {
-    let bytes = std::fs::read(cache_path(dir, p, s)).ok()?;
-    decode_entry(&bytes, s)
-}
-
-/// Best-effort store: benchmarking must not fail because a cache write
-/// did (read-only dir, full disk), so IO errors are swallowed. The entry
-/// is written to a sibling temp file and renamed into place, so a
-/// concurrent reader never sees a half-written entry.
-fn cache_store(dir: &Path, p: &Program, s: Strategy, c: &rml::Compiled) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = cache_path(dir, p, s);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, encode_entry(c)).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
-}
-
-/// As [`compile_set`], but consulting (and filling) a disk cache first.
-/// A cache hit decodes the stored IR instead of running the pipeline —
-/// the process compile counter does not move — and `compiles` reports
-/// only the compilations actually performed (0 on a fully warm cache).
-pub fn compile_set_cached(p: &Program, cache: Option<&Path>) -> CompiledSet {
-    let mut compiles = 0;
-    let mut get = |s: Strategy, what: &str| -> rml::Compiled {
-        if let Some(dir) = cache {
-            if let Some(c) = cache_load(dir, p, s) {
-                return c;
-            }
-        }
-        let c = compile_with_basis(p.source, s).unwrap_or_else(|e| panic!("compile {what}: {e}"));
-        compiles += 1;
-        if let Some(dir) = cache {
-            cache_store(dir, p, s, &c);
-        }
-        c
-    };
-    let rg = get(Strategy::Rg, "rg");
-    let rgm = get(Strategy::RgMinus, "rg-");
-    let r = get(Strategy::R, "r");
     CompiledSet {
-        rg,
-        rgm,
-        r,
-        compiles,
+        rg: get(Strategy::Rg, "rg"),
+        rgm: get(Strategy::RgMinus, "rg-"),
+        r: get(Strategy::R, "r"),
     }
 }
 
 /// The basis library's Figure 9 statistics (compiled once per process;
-/// only the plain-data statistics are retained, so the cache is shared
-/// across the harness's worker threads).
+/// only the plain-data statistics are retained).
 pub fn basis_stats() -> &'static rml_infer::Stats {
     static BASIS: OnceLock<rml_infer::Stats> = OnceLock::new();
     BASIS.get_or_init(|| {
@@ -315,137 +121,35 @@ pub fn basis_stats() -> &'static rml_infer::Stats {
     })
 }
 
-/// Runs an already-compiled program, best-of-`repeats`.
+/// Runs an already-compiled program under `opts`, best-of-`repeats`. The
+/// snapshot comes from the last run; a run error ends the measurement.
 pub fn measure_compiled(
-    c: &rml::Compiled,
-    baseline: bool,
-    label: &'static str,
-    repeats: usize,
-) -> Measurement {
-    let opts = ExecOpts {
-        baseline,
-        ..ExecOpts::default()
-    };
-    measure_compiled_opts(c, &opts, label, repeats)
-}
-
-/// As [`measure_compiled`], but under explicit execution options (the
-/// torture measurement runs stress schedules through this).
-pub fn measure_compiled_opts(
     c: &rml::Compiled,
     opts: &ExecOpts,
     label: &'static str,
     repeats: usize,
 ) -> Measurement {
-    let mut best = Duration::MAX;
-    let mut last = None;
-    let mut crashed = false;
+    let mut time = Duration::MAX;
+    let mut metrics = Err("not run".to_string());
     for _ in 0..repeats.max(1) {
         let t0 = Instant::now();
         match execute(c, opts) {
             Ok(out) => {
-                best = best.min(t0.elapsed());
-                last = Some(out);
+                time = time.min(t0.elapsed());
+                metrics = Ok(MetricsSnapshot::new(&c.timings, c.output.store_stats, &out));
             }
-            Err(_) => {
-                crashed = true;
+            Err(e) => {
+                time = Duration::ZERO;
+                metrics = Err(e.to_string());
                 break;
             }
         }
     }
-    match last {
-        Some(out) if !crashed => Measurement {
-            label,
-            time: best,
-            steps: out.steps,
-            alloc_bytes: out.stats.bytes_allocated,
-            peak_bytes: out.stats.peak_bytes(),
-            gc_count: out.stats.gc_count,
-            forced_gcs: out.stats.forced_gcs,
-            verify_walks: out.stats.verify_walks,
-            faults_survived: 0,
-            crashed: false,
-            metrics: Some(rml::MetricsSnapshot::new(
-                &c.timings,
-                c.output.store_stats,
-                &out,
-            )),
-        },
-        _ => Measurement {
-            label,
-            time: Duration::ZERO,
-            steps: 0,
-            alloc_bytes: 0,
-            peak_bytes: 0,
-            gc_count: 0,
-            forced_gcs: 0,
-            verify_walks: 0,
-            faults_survived: 0,
-            crashed: true,
-            metrics: None,
-        },
+    Measurement {
+        label,
+        time,
+        metrics,
     }
-}
-
-/// PRNG seed for the torture measurement's stress schedule; fixed so the
-/// robustness columns of `BENCH_figure9.json` are deterministic.
-pub const TORTURE_SEED: u64 = 0x7041_10E5;
-
-/// The robustness measurement of a row: the `rg` compilation under a
-/// stress schedule (forced collection every 64 steps) with the heap
-/// verifier walking after every collection, plus two fault-injection
-/// probes (allocation budget, continuation-depth limit). The probes
-/// count as *survived* when the limited run either completes or unwinds
-/// with the matching structured error — a panic or an unrelated error
-/// marks the measurement crashed.
-pub fn measure_torture(set: &CompiledSet, repeats: usize) -> Measurement {
-    use rml_eval::{GcPolicy, RunError, VerifyLevel};
-    let opts = ExecOpts {
-        gc: Some(GcPolicy::stress_every(64, TORTURE_SEED)),
-        verify: Some(VerifyLevel::AfterGc),
-        ..ExecOpts::default()
-    };
-    let mut m = measure_compiled_opts(&set.rg, &opts, "rg+torture", repeats);
-    type FaultMatcher = fn(&rml_eval::RunError) -> bool;
-    let probes: [(ExecOpts, FaultMatcher); 2] = [
-        (
-            ExecOpts {
-                alloc_budget: Some(1),
-                ..ExecOpts::default()
-            },
-            |e| matches!(e, RunError::OutOfMemory { .. }),
-        ),
-        (
-            ExecOpts {
-                depth_limit: Some(2),
-                ..ExecOpts::default()
-            },
-            |e| matches!(e, RunError::DepthLimit { .. }),
-        ),
-    ];
-    for (eo, expect) in probes {
-        match execute(&set.rg, &eo) {
-            // Limit not reached: nothing to survive, still structural.
-            Ok(_) => m.faults_survived += 1,
-            Err(e) if expect(&e) => m.faults_survived += 1,
-            Err(_) => m.crashed = true,
-        }
-    }
-    m
-}
-
-/// Runs one program under one strategy, best-of-`repeats`, compiling it
-/// first. Prefer [`measure_compiled`] (via [`compile_set`]) when several
-/// measurements share a program.
-pub fn measure(
-    p: &Program,
-    strategy: Strategy,
-    baseline: bool,
-    label: &'static str,
-    repeats: usize,
-) -> Measurement {
-    let c = compile_with_basis(p.source, strategy).expect("compile failed");
-    measure_compiled(&c, baseline, label, repeats)
 }
 
 /// Normalises variable names (`r17`, `e3`, `a5`) to first-occurrence
@@ -532,14 +236,6 @@ pub fn code_differs_compiled(p: &Program, rg: &rml::Compiled, rgm: &rml::Compile
     render(rg) != render(rgm)
 }
 
-/// As [`code_differs_compiled`], compiling `p` afresh. Prefer the
-/// `_compiled` variant when the compilations are already at hand.
-pub fn code_differs(p: &Program) -> bool {
-    let rg = compile_with_basis(p.source, Strategy::Rg).expect("compile");
-    let rgm = compile_with_basis(p.source, Strategy::RgMinus).expect("compile");
-    code_differs_compiled(p, &rg, &rgm)
-}
-
 /// Builds one Figure 9 row from an existing [`CompiledSet`], performing
 /// no compilations of its own (the basis statistics come from the
 /// process-wide [`basis_stats`] cache). The `fcns`/`inst` counts are for
@@ -549,6 +245,11 @@ pub fn row_with(p: &Program, set: &CompiledSet, repeats: usize) -> Row {
     let basis = basis_stats();
     let rg_stats = &set.rg.output.stats;
     let sub = |a: usize, b: usize| a.saturating_sub(b);
+    let plain = ExecOpts::default();
+    let baseline = ExecOpts {
+        baseline: true,
+        ..ExecOpts::default()
+    };
     Row {
         name: p.name,
         loc: p.loc(),
@@ -563,88 +264,137 @@ pub fn row_with(p: &Program, set: &CompiledSet, repeats: usize) -> Row {
         diff: code_differs_compiled(p, &set.rg, &set.rgm),
         compile_time: set.rg.timings.total + set.rgm.timings.total + set.r.timings.total,
         runs: vec![
-            measure_compiled(&set.rg, false, "rg", repeats),
-            measure_compiled(&set.rgm, false, "rg-", repeats),
-            measure_compiled(&set.r, false, "r", repeats),
-            measure_compiled(&set.rg, true, "baseline", repeats),
-            measure_torture(set, repeats),
+            measure_compiled(&set.rg, &plain, "rg", repeats),
+            measure_compiled(&set.rgm, &plain, "rg-", repeats),
+            measure_compiled(&set.r, &plain, "r", repeats),
+            measure_compiled(&set.rg, &baseline, "baseline", repeats),
         ],
     }
 }
 
-/// Builds one Figure 9 row, compiling the program (once per strategy).
-pub fn row(p: &Program, repeats: usize) -> Row {
-    let set = compile_set(p);
-    row_with(p, &set, repeats)
-}
-
-/// As [`row`], but building the [`CompiledSet`] through the disk cache.
-pub fn row_cached(p: &Program, repeats: usize, cache: Option<&Path>) -> Row {
-    let set = compile_set_cached(p, cache);
-    row_with(p, &set, repeats)
-}
-
-/// The whole table, uncached (every row compiles its program afresh).
+/// The whole table, in suite order. Rows run one at a time on a single
+/// big-stack thread (the recursive passes need it in unoptimised builds).
 pub fn figure9(repeats: usize) -> Vec<Row> {
-    figure9_cached(repeats, None)
+    rml::run_with_big_stack(move || {
+        rml::programs::suite()
+            .iter()
+            .map(|p| row_with(p, &compile_set(p), repeats))
+            .collect()
+    })
 }
 
-/// The whole table. A fixed pool of workers (one per available core,
-/// capped at the row count) pulls program indices from a shared queue —
-/// work stealing, so one slow row never idles the other threads the way
-/// the previous one-thread-per-row split did. Each worker gets a large
-/// stack (the recursive passes need it in unoptimised builds), results
-/// are slotted by index, and the returned table is in suite order:
-/// deterministic up to the timing columns.
+/// One design choice measured under each of its variants.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// The design choice (`spurious-style`, `gc-threshold`, …).
+    pub name: &'static str,
+    /// The suite program measured.
+    pub program: &'static str,
+    /// What each measurement's `time` is: `"compile"` or `"run"`.
+    pub timed: &'static str,
+    /// One measurement per variant, labelled by the variant.
+    pub runs: Vec<Measurement>,
+}
+
+/// The fixed ablations of `DESIGN.md`, each best-of-`repeats` like the
+/// main table:
 ///
-/// With `cache` set, compilations go through the disk cache; on a fully
-/// warm cache the run performs zero compilations.
-pub fn figure9_cached(repeats: usize, cache: Option<&Path>) -> Vec<Row> {
-    let progs = rml::programs::suite();
-    // Fill the basis cache before spawning so no worker repeats the work
-    // while another holds the `OnceLock` initialiser.
-    let _ = basis_stats();
-    let n = progs.len();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .clamp(1, n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Row>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            std::thread::Builder::new()
-                .stack_size(64 * 1024 * 1024)
-                .spawn_scoped(s, || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(p) = progs.get(i) else { break };
-                    let row = row_cached(p, repeats, cache);
-                    *slots[i].lock().expect("slot poisoned") = Some(row);
-                })
-                .expect("spawn figure9 worker");
-        }
-    });
-    slots
+/// * spurious-variable style — scheme (3) (identify with the arrow
+///   handle) vs scheme (2) (fresh secondary effect variables), timed as
+///   `compose`'s compile;
+/// * GC trigger threshold — `life` under 4, 64 and 512 KB minimums;
+/// * generational vs major-only collection on `msort`;
+/// * tagged vs partly tag-free representation on `msort` (paper
+///   Section 6; compare the bytes allocated).
+pub fn ablations(repeats: usize) -> Vec<Ablation> {
+    rml::run_with_big_stack(move || {
+        let compiled = |name: &str| {
+            let p = rml::programs::by_name(name).expect("suite program");
+            compile_with_basis(p.source, Strategy::Rg).expect("compile")
+        };
+        let gc = |min_kb: u64, ratio: f64, generational: bool| ExecOpts {
+            gc: Some(GcPolicy::On {
+                min_bytes: min_kb * 1024,
+                ratio,
+                generational,
+            }),
+            ..ExecOpts::default()
+        };
+        let compose = rml::programs::by_name("compose").expect("suite program");
+        let full = format!("{}\n{}", rml::basis::BASIS, compose.source);
+        let spurious = [
+            ("identify(3)", SpuriousStyle::Identify),
+            ("secondary(2)", SpuriousStyle::Secondary),
+        ]
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every claimed slot is filled before workers exit")
+        .map(|(label, style)| {
+            let best = (0..repeats.max(1))
+                .map(|_| rml::pipeline::compile_opts(&full, Strategy::Rg, style).expect("compile"))
+                .min_by_key(|c| c.timings.total)
+                .expect("at least one compile");
+            Measurement {
+                time: best.timings.total,
+                ..measure_compiled(&best, &ExecOpts::default(), label, 1)
+            }
         })
-        .collect()
+        .collect();
+        let life = compiled("life");
+        let msort = compiled("msort");
+        let run =
+            |c: &rml::Compiled, opts: ExecOpts, label| measure_compiled(c, &opts, label, repeats);
+        vec![
+            Ablation {
+                name: "spurious-style",
+                program: "compose",
+                timed: "compile",
+                runs: spurious,
+            },
+            Ablation {
+                name: "gc-threshold",
+                program: "life",
+                timed: "run",
+                runs: vec![
+                    run(&life, gc(4, 1.5, false), "min_4k"),
+                    run(&life, gc(64, 1.5, false), "min_64k"),
+                    run(&life, gc(512, 1.5, false), "min_512k"),
+                ],
+            },
+            Ablation {
+                name: "generational",
+                program: "msort",
+                timed: "run",
+                runs: vec![
+                    run(&msort, gc(16, 1.3, false), "major_only"),
+                    run(&msort, gc(16, 1.3, true), "generational"),
+                ],
+            },
+            Ablation {
+                name: "tag-free",
+                program: "msort",
+                timed: "run",
+                runs: vec![
+                    run(
+                        &msort,
+                        ExecOpts {
+                            tag_free: false,
+                            ..ExecOpts::default()
+                        },
+                        "tagged",
+                    ),
+                    run(&msort, ExecOpts::default(), "untagged"),
+                ],
+            },
+        ]
+    })
 }
 
 /// Runs the differential torture oracle over the whole suite: every
-/// program, every strategy, every GC schedule (see [`rml::torture`]),
-/// compiled through the same disk cache as [`figure9_cached`] and spread
-/// over the same work-stealing worker pool. Reports come back in suite
-/// order.
-pub fn differential(
-    opts: &rml::torture::TortureOpts,
-    cache: Option<&Path>,
-) -> Vec<rml::torture::Report> {
+/// program, every strategy, every GC schedule (see [`rml::torture`]). A
+/// fixed pool of big-stack workers (one per available core) pulls
+/// program indices from a shared counter, so one slow program never
+/// idles the others; reports come back in suite order.
+pub fn differential(opts: &rml::torture::TortureOpts) -> Vec<rml::torture::Report> {
     let progs = rml::programs::suite();
-    let _ = basis_stats();
     let n = progs.len();
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -660,7 +410,7 @@ pub fn differential(
                 .spawn_scoped(s, || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(p) = progs.get(i) else { break };
-                    let set = compile_set_cached(p, cache);
+                    let set = compile_set(p);
                     let rep =
                         rml::torture::torture_compiled(p.name, &set.rg, &set.rgm, &set.r, opts);
                     *slots[i].lock().expect("slot poisoned") = Some(rep);
@@ -682,6 +432,23 @@ fn kb(bytes: u64) -> String {
     format!("{}k", bytes / 1024)
 }
 
+fn ms(d: Duration) -> String {
+    format!("{:.1}ms", d.as_secs_f64() * 1000.0)
+}
+
+/// A run's time, or `CRASH` when it ended in a run error.
+fn time_cell(m: &Measurement) -> String {
+    match m.metrics {
+        Ok(_) => ms(m.time),
+        Err(_) => "CRASH".to_string(),
+    }
+}
+
+/// A counter of a run's snapshot, or `-` when it crashed.
+fn count_cell(m: &Measurement, f: impl Fn(&MetricsSnapshot) -> String) -> String {
+    m.metrics.as_ref().map_or_else(|_| "-".to_string(), f)
+}
+
 /// Renders the table in the paper's layout.
 pub fn render(rows: &[Row]) -> String {
     use std::fmt::Write;
@@ -696,13 +463,8 @@ pub fn render(rows: &[Row]) -> String {
     );
     let _ = writeln!(s, "{}", "-".repeat(150));
     for r in rows {
-        let t = |m: &Measurement| {
-            if m.crashed {
-                "CRASH".to_string()
-            } else {
-                format!("{:.1}ms", m.time.as_secs_f64() * 1000.0)
-            }
-        };
+        let rss = |m: &Measurement| count_cell(m, |x| kb(x.heap.peak_bytes()));
+        let gc = |m: &Measurement| count_cell(m, |x| x.heap.gc_count.to_string());
         let _ = writeln!(
             s,
             "{:<12} {:>4} {:>8} {:>9} {:>4} | {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} {:>8} {:>8} | {:>6} {:>6}",
@@ -711,16 +473,16 @@ pub fn render(rows: &[Row]) -> String {
             format!("{}/{}", r.fcns.0, r.fcns.1),
             format!("{}/{}", r.insts.0, r.insts.1),
             if r.diff { "y" } else { "" },
-            t(&r.runs[0]),
-            t(&r.runs[1]),
-            t(&r.runs[2]),
-            t(&r.runs[3]),
-            kb(r.runs[0].peak_bytes),
-            kb(r.runs[1].peak_bytes),
-            kb(r.runs[2].peak_bytes),
-            kb(r.runs[3].peak_bytes),
-            r.runs[0].gc_count,
-            r.runs[1].gc_count,
+            time_cell(&r.runs[0]),
+            time_cell(&r.runs[1]),
+            time_cell(&r.runs[2]),
+            time_cell(&r.runs[3]),
+            rss(&r.runs[0]),
+            rss(&r.runs[1]),
+            rss(&r.runs[2]),
+            rss(&r.runs[3]),
+            gc(&r.runs[0]),
+            gc(&r.runs[1]),
         );
     }
     let _ = writeln!(
@@ -730,36 +492,92 @@ pub fn render(rows: &[Row]) -> String {
     s
 }
 
+/// Renders the suite's compile time per strategy with its phase split
+/// (experiment E6), summed from the snapshots of the rg, rg- and r runs.
+pub fn render_compile(rows: &[Row]) -> String {
+    use std::fmt::Write;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{:<8} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "compile", "parse", "types", "regions", "repr", "total"
+    );
+    for (i, label) in ["rg", "rg-", "r"].into_iter().enumerate() {
+        let mut t = rml::CompileTimings::default();
+        for m in rows.iter().filter_map(|r| r.runs[i].metrics.as_ref().ok()) {
+            t.parse += m.timings.parse;
+            t.types += m.timings.types;
+            t.regions += m.timings.regions;
+            t.repr += m.timings.repr;
+            t.total += m.timings.total;
+        }
+        let _ = writeln!(
+            s,
+            "{:<8} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            label,
+            ms(t.parse),
+            ms(t.types),
+            ms(t.regions),
+            ms(t.repr),
+            ms(t.total)
+        );
+    }
+    s
+}
+
+/// Renders the ablation table.
+pub fn render_ablations(ablations: &[Ablation]) -> String {
+    use std::fmt::Write;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{:<15} {:<8} {:<13} {:>8} {:>10} {:>10} {:>10} {:>8} {:>5}",
+        "ablation", "program", "variant", "timed", "time", "steps", "alloc", "peak", "gc"
+    );
+    for a in ablations {
+        for m in &a.runs {
+            let _ = writeln!(
+                s,
+                "{:<15} {:<8} {:<13} {:>8} {:>10} {:>10} {:>10} {:>8} {:>5}",
+                a.name,
+                a.program,
+                m.label,
+                a.timed,
+                time_cell(m),
+                count_cell(m, |x| x.steps.to_string()),
+                count_cell(m, |x| kb(x.heap.bytes_allocated)),
+                count_cell(m, |x| kb(x.heap.peak_bytes())),
+                count_cell(m, |x| x.heap.gc_count.to_string()),
+            );
+        }
+    }
+    s
+}
+
 /// Milliseconds with 3-digit precision, as a JSON number.
 fn json_ms(d: Duration) -> Json {
     Json::Num((d.as_secs_f64() * 1_000_000.0).round() / 1000.0)
 }
 
 fn measurement_json(m: &Measurement) -> Json {
-    let mut fields = vec![
-        ("label".to_string(), Json::str(m.label)),
-        ("time_ms".to_string(), json_ms(m.time)),
-        ("steps".to_string(), Json::UInt(m.steps)),
-        ("alloc_bytes".to_string(), Json::UInt(m.alloc_bytes)),
-        ("peak_bytes".to_string(), Json::UInt(m.peak_bytes)),
-        ("gc_count".to_string(), Json::UInt(m.gc_count)),
-        ("forced_gcs".to_string(), Json::UInt(m.forced_gcs)),
-        ("verify_walks".to_string(), Json::UInt(m.verify_walks)),
-        ("faults_survived".to_string(), Json::UInt(m.faults_survived)),
-        ("crashed".to_string(), Json::Bool(m.crashed)),
-    ];
-    if let Some(metrics) = &m.metrics {
-        fields.push(("metrics".to_string(), metrics.to_json()));
-    }
-    Json::Obj(fields)
+    let outcome = match &m.metrics {
+        Ok(snap) => ("metrics", snap.to_json()),
+        Err(e) => ("error", Json::str(e.as_str())),
+    };
+    Json::obj([
+        ("label", Json::str(m.label)),
+        ("time_ms", json_ms(m.time)),
+        outcome,
+    ])
 }
 
-/// Serialises the table as machine-readable JSON (per-program compile
-/// time plus the per-strategy run time, steps, allocation, peak bytes,
-/// collection counts, and the unified metrics snapshot). All emission
-/// goes through [`rml_session::json`] — strings are escaped and
-/// non-finite floats are rejected rather than interpolated.
-pub fn to_json(rows: &[Row]) -> String {
+/// Serialises the table and the ablations as machine-readable JSON:
+/// per-program compile time, and per run its time plus the metrics
+/// snapshot (or the run error). All emission goes through
+/// [`rml_session::json`] — strings are escaped and non-finite floats are
+/// rejected rather than interpolated.
+pub fn to_json(rows: &[Row], ablations: &[Ablation]) -> String {
+    let runs = |ms: &[Measurement]| Json::Arr(ms.iter().map(measurement_json).collect());
     let rows_json: Vec<Json> = rows
         .iter()
         .map(|r| {
@@ -772,14 +590,26 @@ pub fn to_json(rows: &[Row]) -> String {
                 ("total_insts", Json::UInt(r.insts.1 as u64)),
                 ("diff", Json::Bool(r.diff)),
                 ("compile_ms", json_ms(r.compile_time)),
-                (
-                    "runs",
-                    Json::Arr(r.runs.iter().map(measurement_json).collect()),
-                ),
+                ("runs", runs(&r.runs)),
             ])
         })
         .collect();
-    let mut out = Json::obj([("rows", Json::Arr(rows_json))]).render();
+    let ablations_json: Vec<Json> = ablations
+        .iter()
+        .map(|a| {
+            Json::obj([
+                ("name", Json::str(a.name)),
+                ("program", Json::str(a.program)),
+                ("timed", Json::str(a.timed)),
+                ("runs", runs(&a.runs)),
+            ])
+        })
+        .collect();
+    let mut out = Json::obj([
+        ("rows", Json::Arr(rows_json)),
+        ("ablations", Json::Arr(ablations_json)),
+    ])
+    .render();
     out.push('\n');
     out
 }
@@ -855,34 +685,30 @@ mod tests {
         assert!(rep.ok(), "{}", rep.render());
     }
 
+    /// One row on `fib`: the four paper columns, all clean runs.
+    fn fib_row() -> Row {
+        rml::run_with_big_stack(|| {
+            let p = rml::programs::by_name("fib").unwrap();
+            row_with(&p, &compile_set(&p), 1)
+        })
+    }
+
     #[test]
     fn one_row_has_all_strategies() {
-        let r = rml::run_with_big_stack(|| {
-            let p = rml::programs::by_name("fib").unwrap();
-            row(&p, 1)
-        });
-        assert_eq!(r.runs.len(), 5);
-        assert!(r.runs.iter().all(|m| !m.crashed));
+        let r = fib_row();
+        let labels: Vec<&str> = r.runs.iter().map(|m| m.label).collect();
+        assert_eq!(labels, ["rg", "rg-", "r", "baseline"]);
+        assert!(r.runs.iter().all(|m| m.metrics.is_ok()));
         assert!(r.loc > 0);
-        // The robustness measurement actually tortured: collections were
-        // forced, the verifier walked, and both fault probes survived.
-        let torture = &r.runs[4];
-        assert_eq!(torture.label, "rg+torture");
-        assert!(torture.forced_gcs > 0);
-        assert!(torture.verify_walks > 0);
-        assert_eq!(torture.faults_survived, 2);
     }
 
     #[test]
     fn json_output_is_well_formed_enough() {
-        let r = rml::run_with_big_stack(|| {
-            let p = rml::programs::by_name("fib").unwrap();
-            row(&p, 1)
-        });
-        let j = to_json(&[r]);
+        let j = to_json(&[fib_row()], &[]);
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
         assert!(j.contains("\"name\":\"fib\""));
         assert!(j.contains("\"label\":\"baseline\""));
+        assert!(j.contains("\"ablations\":[]"));
         // Every non-crashed run embeds the unified metrics snapshot.
         assert!(j.contains("\"metrics\""));
         assert!(j.contains("\"gc_pauses\""));

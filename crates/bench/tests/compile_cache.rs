@@ -1,29 +1,16 @@
-//! The harness must compile each (program, strategy) exactly once.
+//! The harness must compile each (program, strategy) exactly once, and
+//! the suite's deterministic columns must match the committed baseline.
 //!
 //! This file deliberately holds a single `#[test]`: it asserts on deltas
 //! of the process-wide compilation counter, and other tests running in
 //! the same process would perturb it.
 
-use rml_bench::{basis_stats, compile_set, compile_set_cached, row_with};
+use rml::Json;
+use rml_bench::{basis_stats, compile_set, row_with, Row};
 
-/// A process-unique scratch directory for the disk cache, cleaned up on
-/// drop so reruns start cold.
-struct TempCache(std::path::PathBuf);
-
-impl TempCache {
-    fn new(tag: &str) -> TempCache {
-        let dir =
-            std::env::temp_dir().join(format!("rml-bench-cache-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempCache(dir)
-    }
-}
-
-impl Drop for TempCache {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+/// The committed deterministic columns of the whole suite. A change to
+/// any value lands together with a one-line justification in CHANGES.md.
+const BASELINE: &str = include_str!("../baseline.json");
 
 #[test]
 fn row_compiles_each_strategy_exactly_once() {
@@ -36,7 +23,6 @@ fn row_compiles_each_strategy_exactly_once_body() {
     let _ = basis_stats();
     let c0 = rml::compile_count();
     let set = compile_set(&p);
-    assert_eq!(set.compiles, 3);
     assert_eq!(rml::compile_count() - c0, 3, "one compile per strategy");
     let row = row_with(&p, &set, 1);
     assert_eq!(
@@ -44,42 +30,7 @@ fn row_compiles_each_strategy_exactly_once_body() {
         3,
         "row_with must reuse the set's compilations"
     );
-    assert_eq!(
-        row.runs.len(),
-        5,
-        "baseline and the torture run share the rg compilation"
-    );
-
-    // The disk cache: a cold build compiles and fills the cache, the
-    // second build decodes stored IR instead — zero new compilations —
-    // and the decoded set produces the same statistics and schemes.
-    let cache = TempCache::new("fib");
-    let c1 = rml::compile_count();
-    let cold = compile_set_cached(&p, Some(&cache.0));
-    assert_eq!(cold.compiles, 3, "cold cache compiles every strategy");
-    assert_eq!(rml::compile_count() - c1, 3);
-    let c2 = rml::compile_count();
-    let warm = compile_set_cached(&p, Some(&cache.0));
-    assert_eq!(warm.compiles, 0, "warm cache compiles nothing");
-    assert_eq!(
-        rml::compile_count() - c2,
-        0,
-        "a cache hit must not run the pipeline"
-    );
-    assert_eq!(
-        warm.rg.output.stats, cold.rg.output.stats,
-        "statistics survive the cache round-trip"
-    );
-    assert_eq!(
-        warm.rg.output.schemes.len(),
-        cold.rg.output.schemes.len(),
-        "schemes survive the cache round-trip"
-    );
-    let warm_row = row_with(&p, &warm, 1);
-    assert_eq!(warm_row.fcns, row.fcns);
-    assert_eq!(warm_row.insts, row.insts);
-    assert_eq!(warm_row.diff, row.diff);
-    assert!(warm_row.runs.iter().all(|m| !m.crashed));
+    assert_eq!(row.runs.len(), 4, "baseline shares the rg compilation");
 
     // The whole-suite budget: at most 4N+1 compilations for N programs
     // (this driver does exactly 3N with the basis already cached). The
@@ -98,29 +49,63 @@ fn row_compiles_each_strategy_exactly_once_body() {
     );
     assert_eq!(delta, 3 * n, "three compiles per program, basis cached");
 
-    // And through the disk cache: the first run fills it (3N compiles),
-    // the second consecutive run performs zero pipeline recompilations.
-    let suite_cache = TempCache::new("suite");
-    let c3 = rml::compile_count();
-    let first = rml_bench::figure9_cached(1, Some(&suite_cache.0));
-    assert_eq!(first.len() as u64, n);
-    assert_eq!(
-        rml::compile_count() - c3,
-        3 * n,
-        "cold cached run compiles 3N"
-    );
-    let c4 = rml::compile_count();
-    let second = rml_bench::figure9_cached(1, Some(&suite_cache.0));
-    assert_eq!(second.len() as u64, n);
-    assert_eq!(
-        rml::compile_count() - c4,
-        0,
-        "second consecutive figure9 run must hit the disk cache for every row"
-    );
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.name, b.name, "row order is deterministic");
-        assert_eq!(a.fcns, b.fcns);
-        assert_eq!(a.insts, b.insts);
-        assert_eq!(a.diff, b.diff);
+    // The same run, against the committed baseline.
+    let actual = baseline_json(&rows);
+    if actual != BASELINE {
+        let changed: Vec<String> = BASELINE
+            .lines()
+            .zip(actual.lines())
+            .filter(|(want, got)| want != got)
+            .map(|(want, got)| format!("- {want}\n+ {got}"))
+            .collect();
+        panic!(
+            "deterministic Figure 9 columns differ from crates/bench/baseline.json:\n{}\n\
+             full actual baseline:\n{actual}",
+            changed.join("\n")
+        );
     }
+}
+
+/// The deterministic columns of `rows`, one program per line: the
+/// program-level Figure 9 columns plus, per strategy, the run's steps,
+/// heap counters and region-inference store counters.
+fn baseline_json(rows: &[Row]) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let runs = r
+                .runs
+                .iter()
+                .map(|m| {
+                    let s = m
+                        .metrics
+                        .as_ref()
+                        .unwrap_or_else(|e| panic!("{} {}: {e}", r.name, m.label));
+                    let counters = Json::obj([
+                        ("steps", Json::UInt(s.steps)),
+                        ("alloc_bytes", Json::UInt(s.heap.bytes_allocated)),
+                        ("peak_bytes", Json::UInt(s.heap.peak_bytes())),
+                        ("gc_count", Json::UInt(s.heap.gc_count)),
+                        ("regions_created", Json::UInt(s.heap.regions_created)),
+                        ("find_ops", Json::UInt(s.store.find_ops)),
+                        ("unions", Json::UInt(s.store.unions)),
+                    ]);
+                    (m.label.to_string(), counters)
+                })
+                .collect();
+            let pair = |(a, b): (usize, usize)| {
+                Json::Arr(vec![Json::UInt(a as u64), Json::UInt(b as u64)])
+            };
+            Json::obj([
+                ("name", Json::str(r.name)),
+                ("loc", Json::UInt(r.loc as u64)),
+                ("fcns", pair(r.fcns)),
+                ("inst", pair(r.insts)),
+                ("diff", Json::Bool(r.diff)),
+                ("runs", Json::Obj(runs)),
+            ])
+            .render()
+        })
+        .collect();
+    format!("{{\"programs\": [\n{}\n]}}\n", lines.join(",\n"))
 }

@@ -1,14 +1,21 @@
 //! The observability facade: spans, instants, and counters, fanned out to
-//! a process-global sink.
+//! the sink of the current trace scope.
 //!
 //! Every layer of the stack (pipeline phases, the region-inference
 //! fix-point, the abstract machine, the collector) calls into this module
 //! unconditionally; whether anything happens is decided by one relaxed
-//! atomic load. **The disabled path performs no allocation and takes no
-//! lock** — [`enabled`] is a single `AtomicBool` read, and every entry
-//! point checks it before touching arguments. The perf smoke suite pins
-//! this contract (`events_recorded()` must stay zero across an
-//! instrumented run with no sink installed).
+//! atomic load. **The disabled path performs no allocation, takes no lock
+//! and reads no thread-local** — [`enabled`] is a single load of the
+//! process-wide count of open scopes, and every entry point checks it
+//! before touching arguments. The perf smoke suite pins this contract
+//! (`events_recorded()` must stay zero across an instrumented run with no
+//! scope open).
+//!
+//! A sink is attached to one thread for the extent of a closure with
+//! [`scoped`]; events emitted on other threads never reach it. A driver
+//! that fans work out to other threads hands the sink on explicitly
+//! (fetch it with [`current`] and open a scope on the worker), so two
+//! concurrent sessions never interleave in one trace.
 //!
 //! The default sink is a [`Recorder`]: an in-memory event buffer with a
 //! Chrome trace-event JSON exporter ([`Recorder::to_chrome_json`]) whose
@@ -17,7 +24,8 @@
 //! span, phases inside a compile span) is reconstructed by the viewer.
 
 use crate::json::Json;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -76,31 +84,48 @@ pub trait TraceSink: Send + Sync {
     );
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Scopes open anywhere in the process. Zero means no thread can have a
+/// sink, so [`enabled`] answers without reading the thread-local.
+static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 static RECORDED: AtomicU64 = AtomicU64::new(0);
-static SINK: Mutex<Option<Arc<dyn TraceSink>>> = Mutex::new(None);
 
-/// Is a sink installed? One relaxed atomic load; the whole cost of the
-/// instrumentation when tracing is off.
+thread_local! {
+    static SINK: RefCell<Option<Arc<dyn TraceSink>>> = const { RefCell::new(None) };
+}
+
+/// Is any trace scope open? One relaxed atomic load; the whole cost of
+/// the instrumentation when tracing is off. A `true` answer only means
+/// the event is worth routing: a thread without a sink drops it.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ACTIVE.load(Ordering::Relaxed) != 0
 }
 
-/// Installs a process-global sink. Replaces any previous sink.
-pub fn install(sink: Arc<dyn TraceSink>) {
-    if let Ok(mut guard) = SINK.lock() {
-        *guard = Some(sink);
-        ENABLED.store(true, Ordering::SeqCst);
+/// Runs `f` with `sink` receiving every event emitted on this thread,
+/// then restores the thread's previous sink (scopes nest). Events from
+/// other threads — including threads `f` spawns — do not reach `sink`
+/// unless they open their own scope with it.
+pub fn scoped<T>(sink: Arc<dyn TraceSink>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Arc<dyn TraceSink>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            SINK.with(|s| *s.borrow_mut() = prev);
+            ACTIVE.fetch_sub(1, Ordering::SeqCst);
+        }
     }
+    ACTIVE.fetch_add(1, Ordering::SeqCst);
+    let _restore = Restore(SINK.with(|s| s.borrow_mut().replace(sink)));
+    f()
 }
 
-/// Removes the sink; subsequent events hit the disabled fast path.
-pub fn uninstall() {
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Ok(mut guard) = SINK.lock() {
-        *guard = None;
+/// This thread's sink, if it is inside a [`scoped`] call — what a driver
+/// hands on to the workers it spawns.
+pub fn current() -> Option<Arc<dyn TraceSink>> {
+    if !enabled() {
+        return None;
     }
+    SINK.with(|s| s.borrow().clone())
 }
 
 /// Events delivered to any sink since process start — a cheap handle for
@@ -109,22 +134,24 @@ pub fn events_recorded() -> u64 {
     RECORDED.load(Ordering::Relaxed)
 }
 
-fn with_sink(f: impl FnOnce(&dyn TraceSink)) {
+/// Hands an event to this thread's sink, if it has one; returns whether
+/// it did. Reads the thread-local only while some scope is open.
+fn with_sink(f: impl FnOnce(&dyn TraceSink)) -> bool {
     if !enabled() {
-        return;
+        return false;
     }
-    let sink = match SINK.lock() {
-        Ok(guard) => guard.clone(),
-        Err(_) => None,
-    };
-    if let Some(s) = sink {
-        RECORDED.fetch_add(1, Ordering::Relaxed);
-        f(&*s);
-    }
+    SINK.with(|s| match &*s.borrow() {
+        Some(sink) => {
+            RECORDED.fetch_add(1, Ordering::Relaxed);
+            f(&**sink);
+            true
+        }
+        None => false,
+    })
 }
 
-/// An RAII span: `B` on creation, `E` on drop, both suppressed when no
-/// sink was installed at creation time.
+/// An RAII span: `B` on creation, `E` on drop, both suppressed when the
+/// thread had no sink at creation time.
 #[must_use = "a span traces the scope it is alive for"]
 pub struct Span {
     name: &'static str,
@@ -143,10 +170,7 @@ impl Drop for Span {
 /// Opens a span. Zero-cost (a bool check, no allocation) when disabled.
 #[inline]
 pub fn span(name: &'static str, cat: &'static str) -> Span {
-    let armed = enabled();
-    if armed {
-        with_sink(|s| s.record(TracePhase::Begin, name, cat, &[]));
-    }
+    let armed = enabled() && with_sink(|s| s.record(TracePhase::Begin, name, cat, &[]));
     Span { name, cat, armed }
 }
 
@@ -273,35 +297,28 @@ impl TraceSink for Recorder {
 mod tests {
     use super::*;
 
-    // The sink registry is process-global; tests that install one must
-    // not interleave. (Integration-level exporter tests live in the root
-    // crate's `tests/observability.rs` under the same discipline.)
-    static GATE: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_path_records_nothing() {
-        let _g = GATE.lock().unwrap();
-        uninstall();
-        let before = events_recorded();
+        // No scope on this thread: even if a concurrently running test
+        // has one open, nothing emitted here reaches any sink.
+        let rec = Arc::new(Recorder::new());
         {
             let _s = span("quiet", "test");
             instant("quiet.i", "test", &[("n", 1.0)]);
             counter("quiet.c", 2.0);
         }
-        assert_eq!(events_recorded(), before);
+        assert!(current().is_none());
+        assert!(rec.events().is_empty());
     }
 
     #[test]
     fn recorder_pairs_spans_and_exports_chrome_events() {
-        let _g = GATE.lock().unwrap();
         let rec = Arc::new(Recorder::new());
-        install(rec.clone());
-        {
+        scoped(rec.clone(), || {
             let _outer = span("outer", "test");
             let _inner = span("inner", "test");
             counter("bytes", 42.0);
-        }
-        uninstall();
+        });
         let evs = rec.events();
         let phs: Vec<TracePhase> = evs.iter().map(|e| e.ph).collect();
         assert_eq!(
@@ -325,13 +342,31 @@ mod tests {
 
     #[test]
     fn span_created_before_install_never_emits_its_end() {
-        let _g = GATE.lock().unwrap();
-        uninstall();
         let s = span("pre", "test");
         let rec = Arc::new(Recorder::new());
-        install(rec.clone());
-        drop(s); // was created unarmed; must stay silent
-        uninstall();
+        scoped(rec.clone(), || drop(s)); // created unarmed; must stay silent
         assert!(rec.events().is_empty());
+    }
+
+    #[test]
+    fn scopes_nest_and_stay_on_their_thread() {
+        let outer = Arc::new(Recorder::new());
+        let inner = Arc::new(Recorder::new());
+        scoped(outer.clone(), || {
+            instant("a", "test", &[]);
+            scoped(inner.clone(), || instant("b", "test", &[]));
+            instant("c", "test", &[]);
+            // A thread spawned inside the scope starts without a sink.
+            std::thread::spawn(|| {
+                assert!(current().is_none());
+                instant("foreign", "test", &[]);
+            })
+            .join()
+            .unwrap();
+        });
+        let names = |r: &Recorder| r.events().iter().map(|e| e.name).collect::<Vec<_>>();
+        assert_eq!(names(&outer), ["a", "c"]);
+        assert_eq!(names(&inner), ["b"]);
+        assert!(current().is_none());
     }
 }

@@ -183,196 +183,204 @@ fn main() {
         });
         generated = Some((src, format!("gen-{s}")));
     }
-    let recorder: Option<(Arc<trace::Recorder>, String)> = profile.map(|path| {
-        let rec = Arc::new(trace::Recorder::new());
-        trace::install(rec.clone());
-        (rec, path)
-    });
-    if torture {
-        // The oracle compiles all three strategies itself, so it needs
-        // source input, not pre-strategy serialized IR.
-        if ir_path.is_some() {
-            usage()
-        }
-        let (src, name) = if let Some(g) = generated.clone() {
-            g
-        } else {
-            match (&file, &expr) {
-                (Some(f), None) => {
-                    let src = std::fs::read_to_string(f).unwrap_or_else(|e| {
-                        eprintln!("rmlc: cannot read {f}: {e}");
-                        std::process::exit(1)
-                    });
-                    (src, f.clone())
-                }
-                (None, Some(e)) => (format!("fun main () = {e}"), "<expr>".to_string()),
-                _ => usage(),
+    // The recorder sees only this thread's session: everything below runs
+    // inside its trace scope.
+    let recorder: Option<(Arc<trace::Recorder>, String)> =
+        profile.map(|path| (Arc::new(trace::Recorder::new()), path));
+    let sink = recorder
+        .as_ref()
+        .map(|(rec, _)| rec.clone() as Arc<dyn trace::TraceSink>);
+    let session = || {
+        if torture {
+            // The oracle compiles all three strategies itself, so it needs
+            // source input, not pre-strategy serialized IR.
+            if ir_path.is_some() {
+                usage()
             }
-        };
-        if print_src {
-            print!("{src}");
+            let (src, name) = if let Some(g) = generated.clone() {
+                g
+            } else {
+                match (&file, &expr) {
+                    (Some(f), None) => {
+                        let src = std::fs::read_to_string(f).unwrap_or_else(|e| {
+                            eprintln!("rmlc: cannot read {f}: {e}");
+                            std::process::exit(1)
+                        });
+                        (src, f.clone())
+                    }
+                    (None, Some(e)) => (format!("fun main () = {e}"), "<expr>".to_string()),
+                    _ => usage(),
+                }
+            };
+            if print_src {
+                print!("{src}");
+            }
+            let topts = rml::torture::TortureOpts {
+                seed,
+                with_basis: use_basis,
+                ..Default::default()
+            };
+            match rml::torture::torture(&name, &src, &topts) {
+                Ok(rep) => {
+                    print!("{}", rep.render());
+                    write_profile(&recorder);
+                    std::process::exit(i32::from(!rep.ok()))
+                }
+                Err(e) => {
+                    let full = if use_basis {
+                        format!("{}\n{}", rml::basis::BASIS, src)
+                    } else {
+                        src
+                    };
+                    eprint!("{}", e.render(&full, &name));
+                    write_profile(&recorder);
+                    std::process::exit(1)
+                }
+            }
         }
-        let topts = rml::torture::TortureOpts {
-            seed,
-            with_basis: use_basis,
-            ..Default::default()
+        let (compiled, src_name) = if let Some(p) = ir_path {
+            if file.is_some() || expr.is_some() {
+                usage()
+            }
+            let bytes = std::fs::read(&p).unwrap_or_else(|e| {
+                eprintln!("rmlc: cannot read {p}: {e}");
+                std::process::exit(1)
+            });
+            let c = load_ir(&bytes, strategy).unwrap_or_else(|e| {
+                eprintln!("rmlc: cannot load IR from {p}: {e}");
+                std::process::exit(1)
+            });
+            (c, p)
+        } else {
+            let (src, name) = if let Some(g) = generated {
+                g
+            } else {
+                match (file, expr) {
+                    (Some(f), None) => {
+                        let src = std::fs::read_to_string(&f).unwrap_or_else(|e| {
+                            eprintln!("rmlc: cannot read {f}: {e}");
+                            std::process::exit(1)
+                        });
+                        (src, f)
+                    }
+                    (None, Some(e)) => (format!("fun main () = {e}"), "<expr>".to_string()),
+                    _ => usage(),
+                }
+            };
+            if print_src {
+                print!("{src}");
+            }
+            let full_src = if use_basis {
+                format!("{}\n{}", rml::basis::BASIS, src)
+            } else {
+                src.clone()
+            };
+            let compiled = (if use_basis {
+                compile_with_basis(&src, strategy)
+            } else {
+                compile(&src, strategy)
+            })
+            .unwrap_or_else(|e| {
+                eprint!("{}", e.render(&full_src, &name));
+                std::process::exit(1)
+            });
+            (compiled, name)
         };
-        match rml::torture::torture(&name, &src, &topts) {
-            Ok(rep) => {
-                print!("{}", rep.render());
+        if print_schemes {
+            for (name, scheme) in &compiled.output.schemes {
+                println!("{name} : {}", rml_core::pretty::scheme_to_string(scheme));
+            }
+        }
+        if print_term {
+            println!(
+                "{}",
+                rml_core::pretty::term_to_string(&compiled.output.term)
+            );
+        }
+        if do_check {
+            match check(&compiled) {
+                Ok(()) => eprintln!("rmlc: Figure 4 check passed"),
+                Err(e) => {
+                    eprintln!("rmlc: Figure 4 check FAILED: {e}");
+                    std::process::exit(1)
+                }
+            }
+        }
+        if do_check_full {
+            match check_full(&compiled) {
+                Ok(()) => eprintln!("rmlc: full GC-safety check passed"),
+                Err(d) => {
+                    eprint!(
+                        "{}",
+                        d.render(&rml::SourceMap::new(&compiled.source), &src_name)
+                    );
+                    std::process::exit(1)
+                }
+            }
+            if !emit_ir_flag {
                 write_profile(&recorder);
-                std::process::exit(i32::from(!rep.ok()))
+                return; // checking mode: don't run the program
+            }
+        }
+        if emit_ir_flag {
+            let bytes = emit_ir(&compiled);
+            let out = out_path.unwrap_or_else(|| "out.ir".to_string());
+            std::fs::write(&out, &bytes).unwrap_or_else(|e| {
+                eprintln!("rmlc: cannot write {out}: {e}");
+                std::process::exit(1)
+            });
+            eprintln!("rmlc: wrote {} bytes of IR to {out}", bytes.len());
+            write_profile(&recorder);
+            return;
+        }
+        let opts = ExecOpts {
+            baseline,
+            gc: gc_stress.map(|n| rml_eval::GcPolicy::stress_every(n.max(1), seed)),
+            alloc_budget,
+            depth_limit,
+            ..ExecOpts::default()
+        };
+        match execute(&compiled, &opts) {
+            Ok(out) => {
+                print!("{}", out.output);
+                println!("{}", out.value);
+                if metrics {
+                    let snap =
+                        MetricsSnapshot::new(&compiled.timings, compiled.output.store_stats, &out);
+                    print!("{}", snap.render_text());
+                }
+                write_profile(&recorder);
+                if stats {
+                    eprintln!(
+                        "steps {}  alloc {}B  peak {}B  regions {}  gc {} \
+                         forced {}  walks {}  faults {}",
+                        out.steps,
+                        out.stats.bytes_allocated,
+                        out.stats.peak_bytes(),
+                        out.stats.regions_created,
+                        out.stats.gc_count,
+                        out.stats.forced_gcs,
+                        out.stats.verify_walks,
+                        out.stats.faults_injected
+                    );
+                }
             }
             Err(e) => {
-                let full = if use_basis {
-                    format!("{}\n{}", rml::basis::BASIS, src)
-                } else {
-                    src
-                };
-                eprint!("{}", e.render(&full, &name));
-                write_profile(&recorder);
-                std::process::exit(1)
-            }
-        }
-    }
-    let (compiled, src_name) = if let Some(p) = ir_path {
-        if file.is_some() || expr.is_some() {
-            usage()
-        }
-        let bytes = std::fs::read(&p).unwrap_or_else(|e| {
-            eprintln!("rmlc: cannot read {p}: {e}");
-            std::process::exit(1)
-        });
-        let c = load_ir(&bytes, strategy).unwrap_or_else(|e| {
-            eprintln!("rmlc: cannot load IR from {p}: {e}");
-            std::process::exit(1)
-        });
-        (c, p)
-    } else {
-        let (src, name) = if let Some(g) = generated {
-            g
-        } else {
-            match (file, expr) {
-                (Some(f), None) => {
-                    let src = std::fs::read_to_string(&f).unwrap_or_else(|e| {
-                        eprintln!("rmlc: cannot read {f}: {e}");
-                        std::process::exit(1)
-                    });
-                    (src, f)
-                }
-                (None, Some(e)) => (format!("fun main () = {e}"), "<expr>".to_string()),
-                _ => usage(),
-            }
-        };
-        if print_src {
-            print!("{src}");
-        }
-        let full_src = if use_basis {
-            format!("{}\n{}", rml::basis::BASIS, src)
-        } else {
-            src.clone()
-        };
-        let compiled = (if use_basis {
-            compile_with_basis(&src, strategy)
-        } else {
-            compile(&src, strategy)
-        })
-        .unwrap_or_else(|e| {
-            eprint!("{}", e.render(&full_src, &name));
-            std::process::exit(1)
-        });
-        (compiled, name)
-    };
-    if print_schemes {
-        for (name, scheme) in &compiled.output.schemes {
-            println!("{name} : {}", rml_core::pretty::scheme_to_string(scheme));
-        }
-    }
-    if print_term {
-        println!(
-            "{}",
-            rml_core::pretty::term_to_string(&compiled.output.term)
-        );
-    }
-    if do_check {
-        match check(&compiled) {
-            Ok(()) => eprintln!("rmlc: Figure 4 check passed"),
-            Err(e) => {
-                eprintln!("rmlc: Figure 4 check FAILED: {e}");
-                std::process::exit(1)
-            }
-        }
-    }
-    if do_check_full {
-        match check_full(&compiled) {
-            Ok(()) => eprintln!("rmlc: full GC-safety check passed"),
-            Err(d) => {
+                // Runtime faults go through the same diagnostic renderer as
+                // compile errors (the E0005 family). They carry no span, so
+                // this prints the coded header and notes, not an excerpt.
                 eprint!(
                     "{}",
-                    d.render(&rml::SourceMap::new(&compiled.source), &src_name)
+                    e.to_diagnostic()
+                        .render(&rml::SourceMap::new(&compiled.source), &src_name)
                 );
+                write_profile(&recorder);
                 std::process::exit(1)
             }
         }
-        if !emit_ir_flag {
-            write_profile(&recorder);
-            return; // checking mode: don't run the program
-        }
-    }
-    if emit_ir_flag {
-        let bytes = emit_ir(&compiled);
-        let out = out_path.unwrap_or_else(|| "out.ir".to_string());
-        std::fs::write(&out, &bytes).unwrap_or_else(|e| {
-            eprintln!("rmlc: cannot write {out}: {e}");
-            std::process::exit(1)
-        });
-        eprintln!("rmlc: wrote {} bytes of IR to {out}", bytes.len());
-        write_profile(&recorder);
-        return;
-    }
-    let opts = ExecOpts {
-        baseline,
-        gc: gc_stress.map(|n| rml_eval::GcPolicy::stress_every(n.max(1), seed)),
-        alloc_budget,
-        depth_limit,
-        ..ExecOpts::default()
     };
-    match execute(&compiled, &opts) {
-        Ok(out) => {
-            print!("{}", out.output);
-            println!("{}", out.value);
-            if metrics {
-                let snap =
-                    MetricsSnapshot::new(&compiled.timings, compiled.output.store_stats, &out);
-                print!("{}", snap.render_text());
-            }
-            write_profile(&recorder);
-            if stats {
-                eprintln!(
-                    "steps {}  alloc {}B  peak {}B  regions {}  gc {} \
-                     forced {}  walks {}  faults {}",
-                    out.steps,
-                    out.stats.bytes_allocated,
-                    out.stats.peak_bytes(),
-                    out.stats.regions_created,
-                    out.stats.gc_count,
-                    out.stats.forced_gcs,
-                    out.stats.verify_walks,
-                    out.stats.faults_injected
-                );
-            }
-        }
-        Err(e) => {
-            // Runtime faults go through the same diagnostic renderer as
-            // compile errors (the E0005 family). They carry no span, so
-            // this prints the coded header and notes, not an excerpt.
-            eprint!(
-                "{}",
-                e.to_diagnostic()
-                    .render(&rml::SourceMap::new(&compiled.source), &src_name)
-            );
-            write_profile(&recorder);
-            std::process::exit(1)
-        }
+    match sink {
+        Some(sink) => trace::scoped(sink, session),
+        None => session(),
     }
 }

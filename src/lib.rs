@@ -47,10 +47,15 @@ pub use rml_session::{Diagnostic, Json, SourceMap, Span};
 /// Runs `f` on a thread with a 64 MiB stack. The recursive passes over
 /// basis-sized terms exceed the default 2 MiB test-thread stack in
 /// unoptimised builds, so tests that compile the basis run under this.
+/// The caller's trace sink, if any, is handed on to the new thread.
 pub fn run_with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let sink = rml_session::trace::current();
     std::thread::Builder::new()
         .stack_size(64 * 1024 * 1024)
-        .spawn(f)
+        .spawn(move || match sink {
+            Some(sink) => rml_session::trace::scoped(sink, f),
+            None => f(),
+        })
         .unwrap()
         .join()
         .unwrap()

@@ -65,7 +65,7 @@ fn rg_rgminus_execute_the_same_number_of_steps() {
 fn fcns_and_inst_columns_are_program_relative() {
     rml::run_with_big_stack(|| {
         let p = rml::programs::by_name("compose").unwrap();
-        let r = rml_bench::row(&p, 1);
+        let r = rml_bench::row_with(&p, &rml_bench::compile_set(&p), 1);
         assert_eq!(r.fcns.0, 1, "compose defines one spurious function");
         assert!(r.fcns.1 >= 2);
         assert!(r.insts.1 >= r.insts.0);
@@ -78,7 +78,9 @@ fn pure_programs_have_empty_diff() {
     rml::run_with_big_stack(|| {
         for name in ["fib", "queens"] {
             let p = rml::programs::by_name(name).unwrap();
-            assert!(!rml_bench::code_differs(&p), "{name}");
+            let rg = compile_with_basis(p.source, Strategy::Rg).unwrap();
+            let rgm = compile_with_basis(p.source, Strategy::RgMinus).unwrap();
+            assert!(!rml_bench::code_differs_compiled(&p, &rg, &rgm), "{name}");
         }
     });
 }

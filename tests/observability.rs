@@ -1,18 +1,15 @@
 //! Exporter golden tests: the Chrome trace emitted by the tracing facade
 //! is structurally valid JSON, spans nest properly, and GC pauses land
 //! inside the machine's run span. Also the cross-layer agreement check:
-//! the unified `MetricsSnapshot` must report the same counters as the
-//! `HeapStats` the torture rig saw.
+//! the unified `MetricsSnapshot` must report the same counters as an
+//! independent run under a torture schedule.
 //!
-//! The trace sink is process-global, so every test that installs one
-//! holds `SINK_GATE` for its whole body (other test *binaries* are other
-//! processes and unaffected).
+//! Each recording test opens its own trace scope, so the tests run
+//! concurrently without seeing each other's events.
 
-use rml::{compile, execute, ExecOpts, Strategy};
+use rml::{compile, execute, ExecOpts, MetricsSnapshot, Strategy};
 use rml_session::trace;
-use std::sync::{Arc, Mutex};
-
-static SINK_GATE: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 // --- a minimal JSON validator (the workspace has no serde) --------------
 
@@ -215,28 +212,26 @@ impl<'a> Parser<'a> {
     }
 }
 
+const LOOP: &str =
+    "fun main () = let fun loop (n) = if n = 0 then 0 else loop (n - 1) in loop 3000 end";
+
 /// Compiles and runs a small allocating program under a stress schedule
-/// with a recorder installed, returning the exported trace.
+/// inside a recorder's trace scope, returning the exported trace.
 fn record_stressed_run() -> (String, Vec<trace::TraceEvent>) {
     let rec = Arc::new(trace::Recorder::new());
-    trace::install(rec.clone());
-    let c = compile(
-        "fun main () = let fun loop (n) = if n = 0 then 0 else loop (n - 1) in loop 3000 end",
-        Strategy::Rg,
-    )
-    .unwrap();
-    let opts = ExecOpts {
-        gc: Some(rml_eval::GcPolicy::stress_every(50, 7)),
-        ..ExecOpts::default()
-    };
-    execute(&c, &opts).unwrap();
-    trace::uninstall();
+    trace::scoped(rec.clone(), || {
+        let c = compile(LOOP, Strategy::Rg).unwrap();
+        let opts = ExecOpts {
+            gc: Some(rml_eval::GcPolicy::stress_every(50, 7)),
+            ..ExecOpts::default()
+        };
+        execute(&c, &opts).unwrap();
+    });
     (rec.to_chrome_json(), rec.events())
 }
 
 #[test]
 fn chrome_trace_is_valid_json_with_phase_spans_and_gc_pauses() {
-    let _g = SINK_GATE.lock().unwrap();
     let (json, _) = record_stressed_run();
     let v = Parser::parse(&json).expect("trace must be valid JSON");
     assert_eq!(v.get("displayTimeUnit").and_then(V::as_str), Some("ms"));
@@ -271,7 +266,6 @@ fn chrome_trace_is_valid_json_with_phase_spans_and_gc_pauses() {
 
 #[test]
 fn spans_nest_and_gc_pauses_land_inside_the_run_span() {
-    let _g = SINK_GATE.lock().unwrap();
     let (_, events) = record_stressed_run();
     // B/E events balance like parentheses (single-threaded run here, but
     // check per tid as a viewer would).
@@ -319,38 +313,68 @@ fn spans_nest_and_gc_pauses_land_inside_the_run_span() {
     assert!(ts.windows(2).all(|w| w[0] <= w[1]), "non-monotone ts");
 }
 
+/// A compile on another thread while a scope is open on this one: the
+/// recorder must see this thread's session and nothing else.
+#[test]
+fn a_scoped_recorder_sees_no_events_from_other_threads() {
+    let rec = Arc::new(trace::Recorder::new());
+    let start = Arc::new(std::sync::Barrier::new(2));
+    trace::scoped(rec.clone(), || {
+        let foreign = {
+            let start = start.clone();
+            std::thread::spawn(move || {
+                start.wait();
+                compile(LOOP, Strategy::Rg).is_ok()
+            })
+        };
+        // Both compiles start together, inside this thread's scope.
+        start.wait();
+        compile(LOOP, Strategy::Rg).unwrap();
+        assert!(foreign.join().unwrap());
+    });
+    let events = rec.events();
+    let compiles = events
+        .iter()
+        .filter(|e| e.ph == trace::TracePhase::Begin && e.name == "compile")
+        .count();
+    assert_eq!(compiles, 1, "exactly this thread's compile was recorded");
+    let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
+    assert_eq!(tids.len(), 1, "events from foreign threads: {tids:?}");
+}
+
 #[test]
 fn metrics_snapshot_agrees_with_torture_rig_heap_stats() {
     // No sink needed: metrics come from the returned stats, not tracing.
     let p = rml::programs::by_name("fib").expect("suite program");
-    let (m, expected_steps) = rml::run_with_big_stack(move || {
-        let set = rml_bench::compile_set(&p);
-        let m = rml_bench::measure_torture(&set, 1);
-        // An independent plain run for the steps cross-check.
-        let out = execute(&set.rg, &ExecOpts::default()).unwrap();
-        (m, out.steps)
+    let (snap, again, plain) = rml::run_with_big_stack(move || {
+        let c = rml::compile_with_basis(p.source, Strategy::Rg).unwrap();
+        let tortured = ExecOpts {
+            gc: Some(rml_eval::GcPolicy::stress_every(64, 0x7041_10E5)),
+            verify: Some(rml_eval::VerifyLevel::AfterGc),
+            ..ExecOpts::default()
+        };
+        let out = execute(&c, &tortured).unwrap();
+        let snap = MetricsSnapshot::new(&c.timings, c.output.store_stats, &out);
+        // An independent second run under the same options, and a plain
+        // run for the steps cross-check.
+        let again = execute(&c, &tortured).unwrap();
+        let plain = execute(&c, &ExecOpts::default()).unwrap();
+        (snap, again, plain.steps)
     });
-    assert!(!m.crashed);
-    let snap = m.metrics.expect("non-crashed measurement carries metrics");
-    // The unified snapshot and the flat HeapStats fields must agree.
-    assert_eq!(snap.heap.forced_gcs, m.forced_gcs);
-    assert_eq!(snap.heap.verify_walks, m.verify_walks);
-    assert_eq!(snap.heap.gc_count, m.gc_count);
-    assert_eq!(snap.heap.bytes_allocated, m.alloc_bytes);
-    assert_eq!(snap.heap.peak_bytes(), m.peak_bytes);
-    assert_eq!(snap.steps, m.steps);
-    // Fault injection happens on probe runs whose stats are discarded;
-    // the measured run itself must report none.
+    // The snapshot reports exactly what an independent run measures.
+    assert_eq!(snap.heap, again.stats);
+    assert_eq!(snap.steps, again.steps);
+    // The measured run injected no faults.
     assert_eq!(snap.heap.faults_injected, 0);
-    assert!(m.faults_survived >= 2, "both probes must have run");
-    // Under stress-every-64 the rig actually collected, and the pause
-    // histogram saw every collection.
+    // Under stress-every-64 the rig actually collected and verified, and
+    // the pause histogram saw every collection.
     assert!(snap.heap.forced_gcs > 0);
+    assert!(snap.heap.verify_walks > 0);
     assert_eq!(snap.pauses.count, snap.heap.gc_count);
     assert!(snap.pauses.max_us >= snap.pauses.p50_us);
-    // Steps are schedule-independent (the torture run executes the same
+    // Steps are schedule-independent (the tortured run executes the same
     // program as a plain run, just with more collections).
-    assert_eq!(snap.steps, expected_steps);
+    assert_eq!(snap.steps, plain);
     // And the JSON view renders without panicking on any float.
     let json = snap.to_json().try_render().unwrap();
     assert!(json.contains("\"forced_gcs\""));
