@@ -18,6 +18,11 @@
 //! 3. a plain `rg` run from which a metrics snapshot must be
 //!    constructible (steps > 0, JSON renders).
 //!
+//! Each seed compiles once per strategy and runs the matrix once. The
+//! summary counts the programs whose `rg-` cells really dangled and, as
+//! `torture` does, the matrix cells that reached a value rather than a
+//! fault or the step budget.
+//!
 //! A failing program is shrunk (typed-subterm deletion + constant
 //! folding, re-validated through HM each step, re-judged by the same
 //! oracle) and written to `$RML_GEN_ARTIFACTS/seed-<N>.rml` together
@@ -35,27 +40,30 @@
 //!
 //! Exit status: 0 when every seed passes, 1 otherwise.
 
-use rml::{check_full, compile, execute, ExecOpts, MetricsSnapshot, Strategy};
+use rml::torture::{Outcome, Report};
+use rml::{check_full, compile, execute, render_diagnostic, ExecOpts, MetricsSnapshot, Strategy};
 use rml_gen::GenOpts;
 use rml_syntax::pretty::program_to_string;
 use rml_syntax::Program;
 
-/// Runs the whole oracle stack on one program. `Err` carries a short
-/// failure description (the first oracle that rejected).
-fn oracle(name: &str, src: &str, topts: &rml::torture::TortureOpts) -> Result<(), String> {
+/// Runs the whole oracle stack on one program and returns its torture
+/// report. `Err` carries a short failure description (the first oracle
+/// that rejected).
+fn oracle(name: &str, src: &str, topts: &rml::torture::TortureOpts) -> Result<Report, String> {
     // Oracle 1: rg compiles and passes the full checker.
+    let render = |d: &rml::Diagnostic| render_diagnostic(d, src, false, name);
     let rg = compile(src, Strategy::Rg)
-        .map_err(|e| format!("rg compile failed:\n{}", e.render(src, name)))?;
-    check_full(&rg).map_err(|d| {
-        format!(
-            "check_full rejected rg output:\n{}",
-            d.render(&rml::SourceMap::new(&rg.source), name)
-        )
-    })?;
+        .map_err(|e| format!("rg compile failed:\n{}", render(e.diagnostic())))?;
+    check_full(&rg).map_err(|d| format!("check_full rejected rg output:\n{}", render(&d)))?;
 
-    // Oracle 2: the cross-strategy differential matrix.
-    let rep = rml::torture::torture(name, src, topts)
-        .map_err(|e| format!("torture compile failed:\n{}", e.render(src, name)))?;
+    // Oracle 2: the cross-strategy differential matrix, reusing the rg
+    // compile.
+    let compile_for_torture = |s| {
+        compile(src, s).map_err(|e| format!("torture compile failed:\n{}", render(e.diagnostic())))
+    };
+    let rgm = compile_for_torture(Strategy::RgMinus)?;
+    let r = compile_for_torture(Strategy::R)?;
+    let rep = rml::torture::torture_compiled(name, &rg, &rgm, &r, topts);
     if !rep.ok() {
         return Err(format!("torture oracle diverged:\n{}", rep.render()));
     }
@@ -73,7 +81,7 @@ fn oracle(name: &str, src: &str, topts: &rml::torture::TortureOpts) -> Result<()
     if out.steps == 0 || snap.render_text().is_empty() {
         return Err("metrics snapshot is degenerate (0 steps or empty render)".to_string());
     }
-    Ok(())
+    Ok(rep)
 }
 
 fn main() {
@@ -98,6 +106,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut failures = 0u64;
     let mut tolerated_danglings = 0u64;
+    let (mut valued_cells, mut cells) = (0usize, 0usize);
     for seed in start..start + count {
         // Cycle program sizes so a single run covers small and large
         // shapes (still a pure function of the seed).
@@ -111,19 +120,22 @@ fn main() {
         let name = format!("gen-{seed}");
         let src = program_to_string(&prog);
         match oracle(&name, &src, &topts) {
-            Ok(()) => {
-                // Count runs where rg- really did dangle, as a coverage
-                // signal (printed in the summary).
-                if let Ok(rep) = rml::torture::torture(&name, &src, &topts) {
-                    if rep.cells.iter().any(|c| {
-                        matches!(
-                            c.outcome,
-                            rml::torture::Outcome::Fault { dangling: true, .. }
-                        )
-                    }) {
-                        tolerated_danglings += 1;
-                    }
+            Ok(rep) => {
+                // Coverage signals for the summary: runs where rg- really
+                // did dangle, and cells that reached a value.
+                if rep
+                    .cells
+                    .iter()
+                    .any(|c| matches!(c.outcome, Outcome::Fault { dangling: true, .. }))
+                {
+                    tolerated_danglings += 1;
                 }
+                cells += rep.cells.len();
+                valued_cells += rep
+                    .cells
+                    .iter()
+                    .filter(|c| matches!(c.outcome, Outcome::Value { .. }))
+                    .count();
             }
             Err(first) => {
                 failures += 1;
@@ -154,7 +166,7 @@ fn main() {
     let wall = t0.elapsed();
     eprintln!(
         "fuzzgen: {}/{count} passed in {:.1}s ({tolerated_danglings} programs \
-         with tolerated rg- dangling faults)",
+         with tolerated rg- dangling faults, {valued_cells}/{cells} cells reached a value)",
         count - failures,
         wall.as_secs_f64()
     );

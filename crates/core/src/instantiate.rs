@@ -10,7 +10,6 @@
 
 use crate::subst::Subst;
 use crate::types::{BoxTy, Delta, Scheme};
-use crate::vars::{Atom, Effect};
 
 /// Checks substitution coverage `Ω ⊢ Sᵗ : ∆`: `dom(Sᵗ) = dom(∆)` and
 /// `Ω ⊢ Sᵗ(α) : frev(∆(α))` for every `α`.
@@ -117,21 +116,11 @@ pub fn check_instance_with(
     Ok(inst)
 }
 
-/// The atoms the instantiation of `∆(α)` receives under `Sᵉ`: used by
-/// clients to compute which effects grow when a spurious type variable is
-/// instantiated.
-pub fn instantiated_tyvar_effect(s: &Subst, ae: &crate::vars::ArrowEff) -> Effect {
-    let out = s.arrow_eff(ae);
-    let mut phi = out.latent;
-    phi.insert(Atom::Eff(out.handle));
-    phi
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::Mu;
-    use crate::vars::{effect, ArrowEff, EffVar, RegVar, TyVar};
+    use crate::vars::{effect, ArrowEff, Atom, EffVar, Effect, RegVar, TyVar};
 
     /// Builds the paper's scheme (2) for the composition function `o`,
     /// simplified to the pieces relevant for instantiation:

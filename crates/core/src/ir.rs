@@ -1,4 +1,9 @@
-//! A versioned binary codec for region-annotated programs.
+//! A versioned binary encoding of region-annotated programs.
+//!
+//! The encoding is write-only: nothing reads it back. Its length is the
+//! measured size of an annotated program (the `infer.ir_kb` layer metric
+//! and the basis's IR size in the benchmark), so a change to the term or
+//! to region inference shows up as a change in bytes.
 //!
 //! The format is a straightforward tag-prefixed tree encoding with no
 //! external dependencies:
@@ -10,13 +15,7 @@
 //!
 //! Integers are little-endian; strings are length-prefixed UTF-8; sets,
 //! maps, and vectors are length-prefixed sequences. Region, effect, and
-//! type variables are written with their numeric identifiers, but a
-//! decoder **never** trusts those numbers: every distinct identifier is
-//! remapped to a freshly allocated variable ([`RegVar::fresh`] etc.), so
-//! a decoded program cannot collide with variables the running process
-//! has already created. Decoding therefore yields an α-renamed (and
-//! otherwise structurally identical) program — exactly the equivalence
-//! the region calculus works modulo.
+//! type variables are written with their numeric identifiers.
 
 use crate::terms::{FixDef, Term, Value};
 use crate::types::{BoxTy, Mu, Scheme};
@@ -24,9 +23,7 @@ use crate::vars::{ArrowEff, Atom, EffVar, Effect, RegVar, TyVar};
 use crate::Subst;
 use rml_syntax::ast::PrimOp;
 use rml_syntax::Symbol;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
-use std::rc::Rc;
+use std::collections::BTreeMap;
 
 /// The file magic.
 pub const MAGIC: [u8; 4] = *b"RMLI";
@@ -34,42 +31,8 @@ pub const MAGIC: [u8; 4] = *b"RMLI";
 /// The current format version. Bump on any change to the encoding.
 pub const VERSION: u32 = 1;
 
-/// Errors produced while decoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IrError {
-    /// The input does not start with [`MAGIC`].
-    BadMagic,
-    /// The input's version differs from [`VERSION`].
-    Version {
-        /// Version found in the input.
-        found: u32,
-    },
-    /// The input ended in the middle of a value.
-    Truncated,
-    /// The input is structurally invalid (bad tag, bad UTF-8, …).
-    Corrupt(String),
-}
-
-impl fmt::Display for IrError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IrError::BadMagic => write!(f, "not an rml IR file (bad magic)"),
-            IrError::Version { found } => {
-                write!(f, "unsupported IR version {found} (expected {VERSION})")
-            }
-            IrError::Truncated => write!(f, "truncated IR input"),
-            IrError::Corrupt(m) => write!(f, "corrupt IR input: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for IrError {}
-
-type DResult<T> = Result<T, IrError>;
-
-/// A decoded region-annotated program: the fields of region inference's
-/// output that are pure data (statistics are carried separately by
-/// whoever frames the file).
+/// A region-annotated program: the fields of region inference's output
+/// that are pure data (statistics and provenance are not encoded).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrProgram {
     /// The region-annotated term.
@@ -100,47 +63,6 @@ pub fn encode_program(p: &IrProgram) -> Vec<u8> {
         w.scheme(s);
     }
     w.buf
-}
-
-/// Decodes a program, checking magic and version and rejecting trailing
-/// garbage. All variables are freshly renamed (see the module docs).
-pub fn decode_program(bytes: &[u8]) -> DResult<IrProgram> {
-    let mut r = R::new(bytes);
-    if r.take(4)? != MAGIC {
-        return Err(IrError::BadMagic);
-    }
-    let found = r.u32()?;
-    if found != VERSION {
-        return Err(IrError::Version { found });
-    }
-    let term = r.term()?;
-    let n = r.count()?;
-    let mut exns = BTreeMap::new();
-    for _ in 0..n {
-        let name = r.symbol()?;
-        let arg = r.opt(|r| r.mu())?;
-        exns.insert(name, arg);
-    }
-    let global = r.reg()?;
-    let n = r.count()?;
-    let mut schemes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.symbol()?;
-        let s = r.scheme()?;
-        schemes.push((name, s));
-    }
-    if r.pos != bytes.len() {
-        return Err(IrError::Corrupt(format!(
-            "{} trailing bytes",
-            bytes.len() - r.pos
-        )));
-    }
-    Ok(IrProgram {
-        term,
-        exns,
-        global,
-        schemes,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -562,671 +484,5 @@ impl W {
                 self.reg(*at);
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reader.
-// ---------------------------------------------------------------------
-
-/// Recursion-depth bound for the mutually recursive `term`/`value`/`mu`
-/// readers. Real programs nest a few hundred levels at most (the basis
-/// included); mutated IR bytes can claim arbitrary nesting and must get
-/// a structured error, not a blown Rust stack.
-const MAX_DECODE_DEPTH: usize = 16_384;
-
-struct R<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-    regs: HashMap<u32, RegVar>,
-    effs: HashMap<u32, EffVar>,
-    tys: HashMap<u32, TyVar>,
-}
-
-impl<'a> R<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        R {
-            bytes,
-            pos: 0,
-            depth: 0,
-            regs: HashMap::new(),
-            effs: HashMap::new(),
-            tys: HashMap::new(),
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Reads an element count, rejecting any count the remaining input
-    /// cannot possibly satisfy (every element consumes at least one
-    /// byte). Such a count is by definition a truncation — the input
-    /// ends before the promised elements — and failing here keeps
-    /// `Vec::with_capacity` from pre-allocating gigabytes on mutated
-    /// bytes.
-    fn count(&mut self) -> DResult<usize> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(IrError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn enter(&mut self) -> DResult<()> {
-        self.depth += 1;
-        if self.depth > MAX_DECODE_DEPTH {
-            return Err(IrError::Corrupt(format!(
-                "nesting exceeds the decoder depth limit ({MAX_DECODE_DEPTH})"
-            )));
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize) -> DResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or(IrError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(IrError::Truncated);
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> DResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> DResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> DResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> DResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> DResult<String> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        std::str::from_utf8(raw)
-            .map(|s| s.to_string())
-            .map_err(|_| IrError::Corrupt("invalid UTF-8 string".into()))
-    }
-
-    fn symbol(&mut self) -> DResult<Symbol> {
-        Ok(Symbol::intern(&self.str()?))
-    }
-
-    fn reg(&mut self) -> DResult<RegVar> {
-        let id = self.u32()?;
-        Ok(*self.regs.entry(id).or_insert_with(RegVar::fresh))
-    }
-
-    fn eff_var(&mut self) -> DResult<EffVar> {
-        let id = self.u32()?;
-        Ok(*self.effs.entry(id).or_insert_with(EffVar::fresh))
-    }
-
-    fn ty_var(&mut self) -> DResult<TyVar> {
-        let id = self.u32()?;
-        Ok(*self.tys.entry(id).or_insert_with(TyVar::fresh))
-    }
-
-    fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> DResult<T>) -> DResult<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            t => Err(IrError::Corrupt(format!("bad option tag {t}"))),
-        }
-    }
-
-    fn bool(&mut self) -> DResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(IrError::Corrupt(format!("bad bool {t}"))),
-        }
-    }
-
-    fn atom(&mut self) -> DResult<Atom> {
-        match self.u8()? {
-            0 => Ok(Atom::Reg(self.reg()?)),
-            1 => Ok(Atom::Eff(self.eff_var()?)),
-            t => Err(IrError::Corrupt(format!("bad atom tag {t}"))),
-        }
-    }
-
-    fn effect(&mut self) -> DResult<Effect> {
-        let n = self.u32()?;
-        let mut phi = Effect::new();
-        for _ in 0..n {
-            phi.insert(self.atom()?);
-        }
-        Ok(phi)
-    }
-
-    fn arrow_eff(&mut self) -> DResult<ArrowEff> {
-        let handle = self.eff_var()?;
-        let latent = self.effect()?;
-        Ok(ArrowEff::new(handle, latent))
-    }
-
-    fn mu(&mut self) -> DResult<Mu> {
-        self.enter()?;
-        let m = self.mu_raw();
-        self.depth -= 1;
-        m
-    }
-
-    fn mu_raw(&mut self) -> DResult<Mu> {
-        match self.u8()? {
-            0 => Ok(Mu::Var(self.ty_var()?)),
-            1 => Ok(Mu::Int),
-            2 => Ok(Mu::Bool),
-            3 => Ok(Mu::Unit),
-            4 => {
-                let b = self.boxty()?;
-                let r = self.reg()?;
-                Ok(Mu::Boxed(Box::new(b), r))
-            }
-            t => Err(IrError::Corrupt(format!("bad mu tag {t}"))),
-        }
-    }
-
-    fn boxty(&mut self) -> DResult<BoxTy> {
-        match self.u8()? {
-            0 => {
-                let a = self.mu()?;
-                let b = self.mu()?;
-                Ok(BoxTy::Pair(a, b))
-            }
-            1 => {
-                let a = self.mu()?;
-                let ae = self.arrow_eff()?;
-                let b = self.mu()?;
-                Ok(BoxTy::Arrow(a, ae, b))
-            }
-            2 => Ok(BoxTy::Str),
-            3 => Ok(BoxTy::List(self.mu()?)),
-            4 => Ok(BoxTy::Ref(self.mu()?)),
-            5 => Ok(BoxTy::Exn),
-            t => Err(IrError::Corrupt(format!("bad boxty tag {t}"))),
-        }
-    }
-
-    fn scheme(&mut self) -> DResult<Scheme> {
-        let n = self.count()?;
-        let mut rvars = Vec::with_capacity(n);
-        for _ in 0..n {
-            rvars.push(self.reg()?);
-        }
-        let n = self.count()?;
-        let mut evars = Vec::with_capacity(n);
-        for _ in 0..n {
-            evars.push(self.eff_var()?);
-        }
-        let n = self.count()?;
-        let mut delta = Vec::with_capacity(n);
-        for _ in 0..n {
-            let a = self.ty_var()?;
-            let ae = self.arrow_eff()?;
-            delta.push((a, ae));
-        }
-        let body = self.boxty()?;
-        Ok(Scheme {
-            rvars,
-            evars,
-            delta,
-            body,
-        })
-    }
-
-    fn subst(&mut self) -> DResult<Subst> {
-        let mut s = Subst::default();
-        let n = self.u32()?;
-        for _ in 0..n {
-            let a = self.ty_var()?;
-            let m = self.mu()?;
-            s.ty.insert(a, m);
-        }
-        let n = self.u32()?;
-        for _ in 0..n {
-            let k = self.reg()?;
-            let v = self.reg()?;
-            s.reg.insert(k, v);
-        }
-        let n = self.u32()?;
-        for _ in 0..n {
-            let k = self.eff_var()?;
-            let v = self.arrow_eff()?;
-            s.eff.insert(k, v);
-        }
-        Ok(s)
-    }
-
-    fn prim_op(&mut self) -> DResult<PrimOp> {
-        use PrimOp::*;
-        Ok(match self.u8()? {
-            0 => Add,
-            1 => Sub,
-            2 => Mul,
-            3 => Div,
-            4 => Mod,
-            5 => Neg,
-            6 => Lt,
-            7 => Le,
-            8 => Gt,
-            9 => Ge,
-            10 => Eq,
-            11 => Ne,
-            12 => Not,
-            13 => Concat,
-            14 => Size,
-            15 => Itos,
-            16 => Print,
-            17 => ForceGc,
-            t => return Err(IrError::Corrupt(format!("bad prim op tag {t}"))),
-        })
-    }
-
-    fn fix_def(&mut self) -> DResult<FixDef> {
-        let f = self.symbol()?;
-        let scheme = self.scheme()?;
-        let param = self.symbol()?;
-        let body = self.term()?;
-        Ok(FixDef {
-            f,
-            scheme,
-            param,
-            body,
-        })
-    }
-
-    fn term(&mut self) -> DResult<Term> {
-        self.enter()?;
-        let t = self.term_raw();
-        self.depth -= 1;
-        t
-    }
-
-    fn term_raw(&mut self) -> DResult<Term> {
-        Ok(match self.u8()? {
-            0 => Term::Var(self.symbol()?),
-            1 => Term::Unit,
-            2 => Term::Int(self.i64()?),
-            3 => Term::Bool(self.bool()?),
-            4 => {
-                let s = self.str()?;
-                let r = self.reg()?;
-                Term::Str(s, r)
-            }
-            5 => Term::Val(self.value()?),
-            6 => {
-                let param = self.symbol()?;
-                let ann = self.mu()?;
-                let body = Box::new(self.term()?);
-                let at = self.reg()?;
-                Term::Lam {
-                    param,
-                    ann,
-                    body,
-                    at,
-                }
-            }
-            7 => {
-                let a = Box::new(self.term()?);
-                let b = Box::new(self.term()?);
-                Term::App(a, b)
-            }
-            8 => {
-                let n = self.count()?;
-                let mut defs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    defs.push(self.fix_def()?);
-                }
-                let n = self.count()?;
-                let mut ats = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ats.push(self.reg()?);
-                }
-                let index = self.u64()? as usize;
-                if index >= defs.len().max(1) {
-                    return Err(IrError::Corrupt(format!("fix index {index} out of range")));
-                }
-                Term::Fix {
-                    defs: Rc::new(defs),
-                    ats: Rc::new(ats),
-                    index,
-                }
-            }
-            9 => {
-                let f = Box::new(self.term()?);
-                let inst = self.subst()?;
-                let at = self.reg()?;
-                Term::RApp { f, inst, at }
-            }
-            10 => {
-                let x = self.symbol()?;
-                let rhs = Box::new(self.term()?);
-                let body = Box::new(self.term()?);
-                Term::Let { x, rhs, body }
-            }
-            11 => {
-                let n = self.count()?;
-                let mut rvars = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rvars.push(self.reg()?);
-                }
-                let n = self.count()?;
-                let mut evars = Vec::with_capacity(n);
-                for _ in 0..n {
-                    evars.push(self.eff_var()?);
-                }
-                let body = Box::new(self.term()?);
-                Term::Letregion { rvars, evars, body }
-            }
-            12 => {
-                let a = Box::new(self.term()?);
-                let b = Box::new(self.term()?);
-                let r = self.reg()?;
-                Term::Pair(a, b, r)
-            }
-            13 => {
-                let i = self.u8()?;
-                let e = Box::new(self.term()?);
-                Term::Sel(i, e)
-            }
-            14 => {
-                let a = Box::new(self.term()?);
-                let b = Box::new(self.term()?);
-                let c = Box::new(self.term()?);
-                Term::If(a, b, c)
-            }
-            15 => {
-                let op = self.prim_op()?;
-                let n = self.count()?;
-                let mut args = Vec::with_capacity(n);
-                for _ in 0..n {
-                    args.push(self.term()?);
-                }
-                let r = self.opt(|r| r.reg())?;
-                Term::Prim(op, args, r)
-            }
-            16 => Term::Nil(self.mu()?),
-            17 => {
-                let a = Box::new(self.term()?);
-                let b = Box::new(self.term()?);
-                let r = self.reg()?;
-                Term::Cons(a, b, r)
-            }
-            18 => {
-                let scrut = Box::new(self.term()?);
-                let nil_rhs = Box::new(self.term()?);
-                let head = self.symbol()?;
-                let tail = self.symbol()?;
-                let cons_rhs = Box::new(self.term()?);
-                Term::CaseList {
-                    scrut,
-                    nil_rhs,
-                    head,
-                    tail,
-                    cons_rhs,
-                }
-            }
-            19 => {
-                let e = Box::new(self.term()?);
-                let r = self.reg()?;
-                Term::RefNew(e, r)
-            }
-            20 => Term::Deref(Box::new(self.term()?)),
-            21 => {
-                let a = Box::new(self.term()?);
-                let b = Box::new(self.term()?);
-                Term::Assign(a, b)
-            }
-            22 => {
-                let name = self.symbol()?;
-                let arg = self.opt(|r| r.term())?.map(Box::new);
-                let at = self.reg()?;
-                Term::Exn { name, arg, at }
-            }
-            23 => {
-                let e = Box::new(self.term()?);
-                let ann = self.mu()?;
-                Term::Raise(e, ann)
-            }
-            24 => {
-                let body = Box::new(self.term()?);
-                let exn = self.symbol()?;
-                let arg = self.symbol()?;
-                let handler = Box::new(self.term()?);
-                Term::Handle {
-                    body,
-                    exn,
-                    arg,
-                    handler,
-                }
-            }
-            t => return Err(IrError::Corrupt(format!("bad term tag {t}"))),
-        })
-    }
-
-    fn value(&mut self) -> DResult<Value> {
-        self.enter()?;
-        let v = self.value_raw();
-        self.depth -= 1;
-        v
-    }
-
-    fn value_raw(&mut self) -> DResult<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Int(self.i64()?),
-            1 => Value::Bool(self.bool()?),
-            2 => Value::Unit,
-            3 => Value::NilV(self.mu()?),
-            4 => {
-                let s = self.str()?;
-                let r = self.reg()?;
-                Value::Str(s, r)
-            }
-            5 => {
-                let a = Box::new(self.value()?);
-                let b = Box::new(self.value()?);
-                let r = self.reg()?;
-                Value::Pair(a, b, r)
-            }
-            6 => {
-                let a = Box::new(self.value()?);
-                let b = Box::new(self.value()?);
-                let r = self.reg()?;
-                Value::Cons(a, b, r)
-            }
-            7 => {
-                let param = self.symbol()?;
-                let ann = self.mu()?;
-                let body = Box::new(self.term()?);
-                let at = self.reg()?;
-                Value::Clos {
-                    param,
-                    ann,
-                    body,
-                    at,
-                }
-            }
-            8 => {
-                let n = self.count()?;
-                let mut defs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    defs.push(self.fix_def()?);
-                }
-                let n = self.count()?;
-                let mut ats = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ats.push(self.reg()?);
-                }
-                let index = self.u64()? as usize;
-                if index >= defs.len().max(1) {
-                    return Err(IrError::Corrupt(format!(
-                        "fixclos index {index} out of range"
-                    )));
-                }
-                Value::FixClos {
-                    defs: Rc::new(defs),
-                    ats: Rc::new(ats),
-                    index,
-                }
-            }
-            9 => {
-                let i = self.u64()? as usize;
-                let r = self.reg()?;
-                Value::RefLoc(i, r)
-            }
-            10 => {
-                let name = self.symbol()?;
-                let tag = self.u32()?;
-                let arg = self.opt(|r| r.value())?.map(Box::new);
-                let at = self.reg()?;
-                Value::ExnVal { name, tag, arg, at }
-            }
-            t => return Err(IrError::Corrupt(format!("bad value tag {t}"))),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::vars::effect;
-
-    fn sample_program() -> IrProgram {
-        let rho = RegVar::fresh();
-        let eps = EffVar::fresh();
-        let ann = Mu::arrow(
-            Mu::Int,
-            ArrowEff::new(eps, effect([Atom::Reg(rho)])),
-            Mu::Int,
-            rho,
-        );
-        let term = Term::letregion(
-            vec![rho],
-            vec![eps],
-            Term::app(Term::lam("x", ann, Term::var("x"), rho), Term::Int(5)),
-        );
-        let mut exns = BTreeMap::new();
-        exns.insert(Symbol::intern("Fail"), Some(Mu::string(rho)));
-        exns.insert(Symbol::intern("Empty"), None);
-        IrProgram {
-            term,
-            exns,
-            global: rho,
-            schemes: vec![(
-                Symbol::intern("id"),
-                Scheme::mono(BoxTy::Arrow(Mu::Int, ArrowEff::fresh_empty(), Mu::Int)),
-            )],
-        }
-    }
-
-    /// Structural equality modulo the variable renaming decode performs.
-    fn alpha_eq(a: &IrProgram, b: &IrProgram) -> bool {
-        // Re-encoding maps each distinct variable to its first-occurrence
-        // id, so encodings of α-equivalent programs differ only in those
-        // ids; normalise by decoding both through a shared renamer is
-        // overkill — compare pretty-printed forms with ids stripped.
-        let strip = |p: &IrProgram| {
-            let mut s = format!("{:?}|{:?}|{:?}", p.term, p.exns, p.schemes);
-            // Replace digit runs after r/e/a with first-occurrence indices.
-            let mut map: HashMap<String, usize> = HashMap::new();
-            let bytes = s.clone();
-            let bytes = bytes.as_bytes();
-            let mut out = String::new();
-            let mut i = 0;
-            while i < bytes.len() {
-                let c = bytes[i] as char;
-                let prev_ok =
-                    i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-                if prev_ok && matches!(c, 'r' | 'e' | 'a') {
-                    let mut j = i + 1;
-                    while j < bytes.len() && bytes[j].is_ascii_digit() {
-                        j += 1;
-                    }
-                    if j > i + 1 {
-                        let tok = std::str::from_utf8(&bytes[i..j]).unwrap().to_string();
-                        let next = map.len();
-                        let id = *map.entry(tok).or_insert(next);
-                        out.push(c);
-                        out.push('#');
-                        out.push_str(&id.to_string());
-                        i = j;
-                        continue;
-                    }
-                }
-                out.push(c);
-                i += 1;
-            }
-            s = out;
-            s
-        };
-        strip(a) == strip(b)
-    }
-
-    #[test]
-    fn round_trip_small_program() {
-        let p = sample_program();
-        let bytes = encode_program(&p);
-        let q = decode_program(&bytes).unwrap();
-        assert!(alpha_eq(&p, &q), "\n{p:?}\n!=\n{q:?}");
-        assert_eq!(p.exns.len(), q.exns.len());
-        assert_eq!(p.schemes.len(), q.schemes.len());
-    }
-
-    #[test]
-    fn decode_renames_variables() {
-        let p = sample_program();
-        let bytes = encode_program(&p);
-        let q = decode_program(&bytes).unwrap();
-        // Fresh variables must be distinct from the originals.
-        assert_ne!(p.global, q.global);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let p = sample_program();
-        let mut bytes = encode_program(&p);
-        bytes[0] = b'X';
-        assert_eq!(decode_program(&bytes), Err(IrError::BadMagic));
-    }
-
-    #[test]
-    fn version_mismatch_rejected() {
-        let p = sample_program();
-        let mut bytes = encode_program(&p);
-        bytes[4..8].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        assert_eq!(
-            decode_program(&bytes),
-            Err(IrError::Version { found: VERSION + 1 })
-        );
-    }
-
-    #[test]
-    fn truncation_rejected_at_every_prefix() {
-        let p = sample_program();
-        let bytes = encode_program(&p);
-        for n in 0..bytes.len() {
-            let err = decode_program(&bytes[..n]).unwrap_err();
-            assert!(
-                matches!(err, IrError::Truncated | IrError::BadMagic),
-                "prefix {n}: unexpected {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let p = sample_program();
-        let mut bytes = encode_program(&p);
-        bytes.push(0);
-        assert!(matches!(decode_program(&bytes), Err(IrError::Corrupt(_))));
     }
 }

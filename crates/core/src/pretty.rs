@@ -2,7 +2,7 @@
 //! paper's notation.
 
 use crate::terms::Term;
-use crate::types::{BoxTy, Mu, Pi, Scheme};
+use crate::types::{BoxTy, Mu, Scheme};
 use std::fmt::Write as _;
 
 /// Renders a type-and-place, e.g. `(int * (string,r3), r1)`.
@@ -47,14 +47,6 @@ pub fn scheme_to_string(s: &Scheme) -> String {
     }
     out.push_str(&boxty_to_string(&s.body));
     out
-}
-
-/// Renders a `π`.
-pub fn pi_to_string(p: &Pi) -> String {
-    match p {
-        Pi::Mu(m) => mu_to_string(m),
-        Pi::Scheme(s, r) => format!("({}, {r})", scheme_to_string(s)),
-    }
 }
 
 /// Renders a term with region annotations (compact, one line).

@@ -58,11 +58,6 @@ impl Subst {
         }
     }
 
-    /// Is this a *region-effect* substitution (`dom(Sᵗ) = ∅`)?
-    pub fn is_region_effect(&self) -> bool {
-        self.ty.is_empty()
-    }
-
     /// Applies `Sʳ` to a region variable.
     pub fn reg_var(&self, r: RegVar) -> RegVar {
         self.reg.get(&r).copied().unwrap_or(r)

@@ -257,14 +257,6 @@ impl Pi {
         }
     }
 
-    /// Views the scheme form.
-    pub fn as_scheme(&self) -> Option<(&Scheme, RegVar)> {
-        match self {
-            Pi::Scheme(s, r) => Some((s, *r)),
-            Pi::Mu(_) => None,
-        }
-    }
-
     /// Free region and effect variables.
     pub fn frev(&self, out: &mut Effect) {
         match self {

@@ -741,11 +741,3 @@ impl Checker {
         }
     }
 }
-
-/// Checks containment of every binding in an environment — a helper used
-/// by tests and by the inference validator.
-pub fn env_contained(omega: &Delta, gamma: &TypeEnv, phi: &Effect) -> bool {
-    gamma
-        .iter()
-        .all(|(_, pi)| crate::containment::pi_contained(omega, pi, phi))
-}

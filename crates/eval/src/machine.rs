@@ -71,17 +71,15 @@ fn renv_lookup(renv: &REnv, var: RegVar) -> Option<RegionId> {
 
 /// A deterministic adversarial collection schedule (the torture rig).
 ///
-/// All scheduling decisions derive from the machine step counter, the
-/// allocation counter, and a [`Xorshift64`] stream seeded from `seed` —
-/// never from ambient randomness — so the same seed always produces the
-/// same schedule and therefore the same run outcome.
+/// All scheduling decisions derive from the machine step counter and a
+/// [`Xorshift64`] stream seeded from `seed` — never from ambient
+/// randomness — so the same seed always produces the same schedule and
+/// therefore the same run outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StressSchedule {
     /// Force a collection every `period` machine steps (0 disables the
     /// step trigger; 1 collects at *every* step).
     pub period: u64,
-    /// Force a collection after every allocation.
-    pub every_alloc: bool,
     /// Seed for the minor/major interleaving stream.
     pub seed: u64,
     /// Interleave minor (young-generation) and major collections,
@@ -125,21 +123,14 @@ impl GcPolicy {
     pub fn stress_every(period: u64, seed: u64) -> GcPolicy {
         GcPolicy::Stress(StressSchedule {
             period,
-            every_alloc: false,
             seed,
             generational: false,
         })
     }
 
-    /// Collect at every machine step *and* after every allocation — the
-    /// most adversarial schedule.
+    /// Collect at every machine step — the most adversarial schedule.
     pub fn stress_every_step(seed: u64) -> GcPolicy {
-        GcPolicy::Stress(StressSchedule {
-            period: 1,
-            every_alloc: true,
-            seed,
-            generational: false,
-        })
+        GcPolicy::stress_every(1, seed)
     }
 
     /// Like [`GcPolicy::stress_every`], but randomly (seeded) interleaves
@@ -147,7 +138,6 @@ impl GcPolicy {
     pub fn stress_generational(period: u64, seed: u64) -> GcPolicy {
         GcPolicy::Stress(StressSchedule {
             period,
-            every_alloc: false,
             seed,
             generational: true,
         })
@@ -449,9 +439,6 @@ struct Machine<'a> {
     /// Seeded PRNG driving minor/major interleaving under stress
     /// schedules; the only source of "randomness" in the machine.
     rng: rml_runtime::Xorshift64,
-    /// Allocation count at the last stress check (for the
-    /// collect-after-every-allocation trigger).
-    last_alloc_objects: u64,
 }
 
 type MResult<T> = Result<T, RunError>;
@@ -482,7 +469,6 @@ pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
         gc_pending: false,
         collections_since_major: 0,
         rng: rml_runtime::Xorshift64::new(seed),
-        last_alloc_objects: 0,
     };
     let mut renv = renv_bind(&None, opts.global, global_region);
     // Residual free region variables of the program (e.g. regions of the
@@ -597,11 +583,8 @@ impl<'a> Machine<'a> {
                 Some((minor, forced))
             }
             GcPolicy::Stress(s) => {
-                let allocs = self.heap.stats.objects_allocated;
-                let alloc_trigger = s.every_alloc && allocs > self.last_alloc_objects;
-                self.last_alloc_objects = allocs;
                 let step_trigger = s.period > 0 && self.steps.is_multiple_of(s.period);
-                if !self.gc_pending && !alloc_trigger && !step_trigger {
+                if !self.gc_pending && !step_trigger {
                     return None;
                 }
                 // Minor three steps out of four, decided by the seeded

@@ -61,16 +61,6 @@ impl Ty {
             _ => {}
         }
     }
-
-    /// Returns `true` if the type is "boxed" in the runtime representation
-    /// (pairs, lists, refs, arrows, strings); type variables count as
-    /// potentially boxed.
-    pub fn is_boxed(&self) -> bool {
-        matches!(
-            self,
-            Ty::Pair(..) | Ty::List(_) | Ty::Ref(_) | Ty::Arrow(..) | Ty::Str | Ty::Quant(_)
-        )
-    }
 }
 
 impl fmt::Display for Ty {

@@ -352,13 +352,6 @@ impl Store {
         }
     }
 
-    /// Adds a whole effect to a variable.
-    pub fn add_atoms<I: IntoIterator<Item = AtomI>>(&mut self, e: EpsId, atoms: I) {
-        for a in atoms {
-            self.add_atom(e, a);
-        }
-    }
-
     /// Reconciles the memos with mutations since they were last used.
     /// Called at the top of every memoised query. A union since the last
     /// refresh clears everything (representatives changed); otherwise only
@@ -514,23 +507,6 @@ impl Store {
                     if self.find_eps(ep) != root {
                         out.insert(Atom::Eff(self.core_eps(ep)));
                     }
-                }
-            }
-        }
-        out
-    }
-
-    /// Converts an atom set to a fully expanded core effect.
-    pub fn core_effect(&mut self, s: &BTreeSet<AtomI>) -> Effect {
-        let atoms = self.atom_closure(s);
-        let mut out = Effect::new();
-        for a in atoms {
-            match a {
-                AtomI::Rho(r) => {
-                    out.insert(Atom::Reg(self.core_rho(r)));
-                }
-                AtomI::Eps(e) => {
-                    out.insert(Atom::Eff(self.core_eps(e)));
                 }
             }
         }

@@ -1,10 +1,9 @@
 //! Structured diagnostics and a terminal renderer that underlines source.
 //!
 //! Every error path of the compiler ends in a [`Diagnostic`]: a stable
-//! code, a severity, a one-line message, a primary span, optional
-//! secondary labels, and free-form notes. The renderer produces the usual
-//! `file:line:col` header followed by the offending source line with a
-//! caret underline.
+//! code, a severity, a one-line message, a primary span, and free-form
+//! notes. The renderer produces the usual `file:line:col` header followed
+//! by the offending source line with a caret underline.
 
 use crate::span::{SourceMap, Span};
 use std::fmt;
@@ -31,15 +30,6 @@ impl Severity {
     }
 }
 
-/// A secondary span with its own message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Label {
-    /// Where.
-    pub span: Span,
-    /// Why that place matters.
-    pub message: String,
-}
-
 /// A structured compiler diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -52,8 +42,6 @@ pub struct Diagnostic {
     pub message: String,
     /// The primary location ([`Span::DUMMY`] when unknown).
     pub primary: Span,
-    /// Secondary locations.
-    pub labels: Vec<Label>,
     /// Free-form notes appended after the source excerpt.
     pub notes: Vec<String>,
 }
@@ -66,7 +54,6 @@ impl Diagnostic {
             severity: Severity::Error,
             message: message.into(),
             primary: Span::DUMMY,
-            labels: Vec::new(),
             notes: Vec::new(),
         }
     }
@@ -74,15 +61,6 @@ impl Diagnostic {
     /// Sets the primary span.
     pub fn with_primary(mut self, span: Span) -> Diagnostic {
         self.primary = span;
-        self
-    }
-
-    /// Adds a secondary label.
-    pub fn with_label(mut self, span: Span, message: impl Into<String>) -> Diagnostic {
-        self.labels.push(Label {
-            span,
-            message: message.into(),
-        });
         self
     }
 
@@ -105,12 +83,7 @@ impl Diagnostic {
             self.message
         );
         if !self.primary.is_dummy() {
-            render_span(&mut out, sm, name, self.primary, "^", None);
-        }
-        for l in &self.labels {
-            if !l.span.is_dummy() {
-                render_span(&mut out, sm, name, l.span, "-", Some(&l.message));
-            }
+            render_span(&mut out, sm, name, self.primary);
         }
         for n in &self.notes {
             let _ = writeln!(out, "  = note: {n}");
@@ -129,14 +102,7 @@ impl fmt::Display for Diagnostic {
 
 impl std::error::Error for Diagnostic {}
 
-fn render_span(
-    out: &mut String,
-    sm: &SourceMap,
-    name: &str,
-    span: Span,
-    mark: &str,
-    label: Option<&str>,
-) {
+fn render_span(out: &mut String, sm: &SourceMap, name: &str, span: Span) {
     use std::fmt::Write;
     let (line, col) = sm.line_col(span.start);
     let text = sm.line_text(line);
@@ -154,23 +120,15 @@ fn render_span(
         line_len
     };
     let width = (end.saturating_sub(start)).max(1) as usize;
-    let _ = write!(
+    let _ = writeln!(
         out,
         "{:>gw$} | {:sp$}{}",
         "",
         "",
-        mark.repeat(width),
+        "^".repeat(width),
         gw = gutter.len(),
         sp = start as usize
     );
-    match label {
-        Some(l) => {
-            let _ = writeln!(out, " {l}");
-        }
-        None => {
-            let _ = writeln!(out);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! * **spans** ([`Span`], [`SourceMap`]) — byte ranges into the source,
 //!   carried by tokens and AST nodes and propagated into typed and
 //!   region-annotated programs via provenance side-tables;
-//! * **diagnostics** ([`Diagnostic`], [`Severity`], [`Label`]) — every
+//! * **diagnostics** ([`Diagnostic`], [`Severity`]) — every
 //!   error path produces a structured diagnostic with a stable code and a
 //!   primary span, rendered with a caret underline by
 //!   [`Diagnostic::render`];
@@ -28,7 +28,7 @@ pub mod json;
 mod span;
 pub mod trace;
 
-pub use diag::{Diagnostic, Label, Severity};
+pub use diag::{Diagnostic, Severity};
 pub use intern::Interner;
 pub use json::Json;
 pub use span::{SourceMap, Span};

@@ -77,7 +77,7 @@ impl Symbol {
 
     /// The interned string for index `i`, or `None` if `i` was never
     /// produced by [`Symbol::index`]. The non-panicking form used when
-    /// the index comes from untrusted data (raw heap words, decoded IR).
+    /// the index comes from untrusted data (raw heap words).
     pub fn lookup_index(i: u32) -> Option<&'static str> {
         interner().lock().ok()?.strings.get(i as usize).copied()
     }

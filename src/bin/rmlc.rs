@@ -10,9 +10,6 @@
 //!   --check                 validate against the Figure 4 typing rules
 //!   --check-full            validate against the FULL GC-safety rules
 //!                           (detects the rg- soundness hole; no run)
-//!   --emit=ir               serialize the region-annotated IR (no run)
-//!   -o <file>               output path for --emit=ir (default out.ir)
-//!   --load-ir <file.ir>     load serialized IR instead of compiling
 //!   --stats                 print allocation/GC statistics
 //!   -e <expr>               compile `fun main () = <expr>` instead of a file
 //!   --torture               run the differential torture oracle: every
@@ -43,11 +40,13 @@
 //! ```
 //!
 //! Compile and check errors are rendered as source-located diagnostics
-//! with caret underlines (see `rml_session::Diagnostic`); runtime faults
-//! render through the same path as the `E0005` family.
+//! with caret underlines (see `rml_session::Diagnostic`), at the line of
+//! the user's file even when the basis is prepended; a span inside the
+//! basis is labelled `<basis>`. Runtime faults render through the same
+//! path as the `E0005` family.
 
 use rml::{
-    check, check_full, compile, compile_with_basis, emit_ir, execute, load_ir, ExecOpts,
+    check, check_full, compile, compile_with_basis, execute, render_diagnostic, ExecOpts,
     MetricsSnapshot, Strategy,
 };
 use rml_session::trace;
@@ -57,10 +56,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: rmlc [--strategy rg|rg-|r] [--baseline] [--no-basis] \
          [--print-term] [--print-schemes] [--check] [--check-full] \
-         [--emit=ir] [-o <file>] [--stats] [--torture] [--gc-stress=N] \
+         [--stats] [--torture] [--gc-stress=N] \
          [--alloc-budget=N] [--depth-limit=N] [--seed=N] \
          [--profile[=PATH]] [--metrics] [--gen-fuel=N] [--print-src] \
-         (<file.rml> | -e <expr> | --gen=SEED | --load-ir <file.ir>)"
+         (<file.rml> | -e <expr> | --gen=SEED)"
     );
     std::process::exit(2)
 }
@@ -102,9 +101,6 @@ fn main() {
     let mut print_schemes = false;
     let mut do_check = false;
     let mut do_check_full = false;
-    let mut emit_ir_flag = false;
-    let mut out_path: Option<String> = None;
-    let mut ir_path: Option<String> = None;
     let mut stats = false;
     let mut file: Option<String> = None;
     let mut expr: Option<String> = None;
@@ -134,9 +130,6 @@ fn main() {
             "--print-schemes" => print_schemes = true,
             "--check" => do_check = true,
             "--check-full" => do_check_full = true,
-            "--emit=ir" => emit_ir_flag = true,
-            "-o" => out_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--load-ir" => ir_path = Some(args.next().unwrap_or_else(|| usage())),
             "--stats" => stats = true,
             "--torture" => torture = true,
             "-e" => expr = Some(args.next().unwrap_or_else(|| usage())),
@@ -167,21 +160,32 @@ fn main() {
             _ => usage(),
         }
     }
-    // --gen: synthesize the deterministic rml-gen program for the seed.
-    // Generated programs are self-contained (z-prefixed identifiers, no
-    // basis use), so the basis is skipped and the program is
-    // bit-identical to what the fuzzgen driver tested for this seed.
-    let mut generated: Option<(String, String)> = None;
-    if let Some(s) = gen_seed {
-        if file.is_some() || expr.is_some() || ir_path.is_some() {
-            usage()
+    // The program is a file, an expression, or (--gen) the deterministic
+    // rml-gen program for the seed. Generated programs are self-contained
+    // (z-prefixed identifiers, no basis use), so the basis is skipped and
+    // the program is bit-identical to what the fuzzgen driver tested for
+    // this seed.
+    let (src, name) = match (gen_seed, file, expr) {
+        (Some(s), None, None) => {
+            use_basis = false;
+            let src = rml_gen::generate_source(&rml_gen::GenOpts {
+                seed: s,
+                fuel: gen_fuel as u32,
+            });
+            (src, format!("gen-{s}"))
         }
-        use_basis = false;
-        let src = rml_gen::generate_source(&rml_gen::GenOpts {
-            seed: s,
-            fuel: gen_fuel as u32,
-        });
-        generated = Some((src, format!("gen-{s}")));
+        (None, Some(f), None) => {
+            let src = std::fs::read_to_string(&f).unwrap_or_else(|e| {
+                eprintln!("rmlc: cannot read {f}: {e}");
+                std::process::exit(1)
+            });
+            (src, f)
+        }
+        (None, None, Some(e)) => (format!("fun main () = {e}"), "<expr>".to_string()),
+        _ => usage(),
+    };
+    if print_src {
+        print!("{src}");
     }
     // The recorder sees only this thread's session: everything below runs
     // inside its trace scope.
@@ -192,29 +196,6 @@ fn main() {
         .map(|(rec, _)| rec.clone() as Arc<dyn trace::TraceSink>);
     let session = || {
         if torture {
-            // The oracle compiles all three strategies itself, so it needs
-            // source input, not pre-strategy serialized IR.
-            if ir_path.is_some() {
-                usage()
-            }
-            let (src, name) = if let Some(g) = generated.clone() {
-                g
-            } else {
-                match (&file, &expr) {
-                    (Some(f), None) => {
-                        let src = std::fs::read_to_string(f).unwrap_or_else(|e| {
-                            eprintln!("rmlc: cannot read {f}: {e}");
-                            std::process::exit(1)
-                        });
-                        (src, f.clone())
-                    }
-                    (None, Some(e)) => (format!("fun main () = {e}"), "<expr>".to_string()),
-                    _ => usage(),
-                }
-            };
-            if print_src {
-                print!("{src}");
-            }
             let topts = rml::torture::TortureOpts {
                 seed,
                 with_basis: use_basis,
@@ -227,65 +208,27 @@ fn main() {
                     std::process::exit(i32::from(!rep.ok()))
                 }
                 Err(e) => {
-                    let full = if use_basis {
-                        format!("{}\n{}", rml::basis::BASIS, src)
-                    } else {
-                        src
-                    };
-                    eprint!("{}", e.render(&full, &name));
+                    eprint!(
+                        "{}",
+                        render_diagnostic(e.diagnostic(), &src, use_basis, &name)
+                    );
                     write_profile(&recorder);
                     std::process::exit(1)
                 }
             }
         }
-        let (compiled, src_name) = if let Some(p) = ir_path {
-            if file.is_some() || expr.is_some() {
-                usage()
-            }
-            let bytes = std::fs::read(&p).unwrap_or_else(|e| {
-                eprintln!("rmlc: cannot read {p}: {e}");
-                std::process::exit(1)
-            });
-            let c = load_ir(&bytes, strategy).unwrap_or_else(|e| {
-                eprintln!("rmlc: cannot load IR from {p}: {e}");
-                std::process::exit(1)
-            });
-            (c, p)
+        let compiled = (if use_basis {
+            compile_with_basis(&src, strategy)
         } else {
-            let (src, name) = if let Some(g) = generated {
-                g
-            } else {
-                match (file, expr) {
-                    (Some(f), None) => {
-                        let src = std::fs::read_to_string(&f).unwrap_or_else(|e| {
-                            eprintln!("rmlc: cannot read {f}: {e}");
-                            std::process::exit(1)
-                        });
-                        (src, f)
-                    }
-                    (None, Some(e)) => (format!("fun main () = {e}"), "<expr>".to_string()),
-                    _ => usage(),
-                }
-            };
-            if print_src {
-                print!("{src}");
-            }
-            let full_src = if use_basis {
-                format!("{}\n{}", rml::basis::BASIS, src)
-            } else {
-                src.clone()
-            };
-            let compiled = (if use_basis {
-                compile_with_basis(&src, strategy)
-            } else {
-                compile(&src, strategy)
-            })
-            .unwrap_or_else(|e| {
-                eprint!("{}", e.render(&full_src, &name));
-                std::process::exit(1)
-            });
-            (compiled, name)
-        };
+            compile(&src, strategy)
+        })
+        .unwrap_or_else(|e| {
+            eprint!(
+                "{}",
+                render_diagnostic(e.diagnostic(), &src, use_basis, &name)
+            );
+            std::process::exit(1)
+        });
         if print_schemes {
             for (name, scheme) in &compiled.output.schemes {
                 println!("{name} : {}", rml_core::pretty::scheme_to_string(scheme));
@@ -310,28 +253,12 @@ fn main() {
             match check_full(&compiled) {
                 Ok(()) => eprintln!("rmlc: full GC-safety check passed"),
                 Err(d) => {
-                    eprint!(
-                        "{}",
-                        d.render(&rml::SourceMap::new(&compiled.source), &src_name)
-                    );
+                    eprint!("{}", render_diagnostic(&d, &src, use_basis, &name));
                     std::process::exit(1)
                 }
             }
-            if !emit_ir_flag {
-                write_profile(&recorder);
-                return; // checking mode: don't run the program
-            }
-        }
-        if emit_ir_flag {
-            let bytes = emit_ir(&compiled);
-            let out = out_path.unwrap_or_else(|| "out.ir".to_string());
-            std::fs::write(&out, &bytes).unwrap_or_else(|e| {
-                eprintln!("rmlc: cannot write {out}: {e}");
-                std::process::exit(1)
-            });
-            eprintln!("rmlc: wrote {} bytes of IR to {out}", bytes.len());
             write_profile(&recorder);
-            return;
+            return; // checking mode: don't run the program
         }
         let opts = ExecOpts {
             baseline,
@@ -371,8 +298,7 @@ fn main() {
                 // this prints the coded header and notes, not an excerpt.
                 eprint!(
                     "{}",
-                    e.to_diagnostic()
-                        .render(&rml::SourceMap::new(&compiled.source), &src_name)
+                    render_diagnostic(&e.to_diagnostic(), &src, use_basis, &name)
                 );
                 write_profile(&recorder);
                 std::process::exit(1)

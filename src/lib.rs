@@ -38,7 +38,7 @@ pub mod torture;
 pub use metrics::{MetricsSnapshot, PauseHistogram};
 pub use pipeline::{
     check, check_diag, check_full, compile, compile_count, compile_with_basis, emit_ir, execute,
-    load_ir, CompileError, CompileTimings, Compiled, ExecOpts,
+    render_diagnostic, CompileError, CompileTimings, Compiled, ExecOpts,
 };
 pub use rml_eval::{RunOutcome, RunValue};
 pub use rml_infer::{SpuriousStyle, Strategy};

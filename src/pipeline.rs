@@ -4,7 +4,7 @@
 use rml_eval::{GcPolicy, RunError, RunOpts, RunOutcome};
 use rml_infer::{Options, SpuriousStyle, Strategy};
 use rml_repr::ReprInfo;
-use rml_session::{trace, Diagnostic, SourceMap};
+use rml_session::{trace, Diagnostic, SourceMap, Span};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -37,12 +37,8 @@ pub struct CompileTimings {
 /// A compiled program.
 #[derive(Debug)]
 pub struct Compiled {
-    /// The source, as compiled (including any prepended basis); empty
-    /// when the program was loaded from serialized IR.
+    /// The source, as compiled (including any prepended basis).
     pub source: String,
-    /// The typed AST; `None` when the program was loaded from serialized
-    /// IR (the typed front-end AST is not part of the format).
-    pub typed: Option<rml_hm::TProgram>,
     /// Region inference output (term, exceptions, statistics, schemes).
     pub output: rml_infer::Output,
     /// Representation analyses.
@@ -57,8 +53,9 @@ pub struct Compiled {
 /// [`Diagnostic`] (stable code, primary span when the stage knows one).
 ///
 /// `Display` remains the stage-prefixed message, so stringly-typed
-/// consumers see what they always saw; renderers call
-/// [`CompileError::render`] for the underlined source excerpt.
+/// consumers see what they always saw; renderers pass
+/// [`CompileError::diagnostic`] to [`render_diagnostic`] for the
+/// underlined source excerpt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// Lexing/parsing (`E0001`).
@@ -75,13 +72,6 @@ impl CompileError {
         match self {
             CompileError::Parse(d) | CompileError::Type(d) | CompileError::Region(d) => d,
         }
-    }
-
-    /// Renders the diagnostic against the source it was produced from
-    /// (the *compiled* source — including the basis when one was
-    /// prepended). `name` labels the buffer (a file name or `<expr>`).
-    pub fn render(&self, src: &str, name: &str) -> String {
-        self.diagnostic().render(&SourceMap::new(src), name)
     }
 }
 
@@ -152,7 +142,6 @@ pub fn compile_opts(
     COMPILES.fetch_add(1, Ordering::Relaxed);
     Ok(Compiled {
         source: src.to_string(),
-        typed: Some(typed),
         output,
         repr,
         strategy,
@@ -174,6 +163,26 @@ pub fn compile_opts(
 pub fn compile_with_basis(src: &str, strategy: Strategy) -> Result<Compiled, CompileError> {
     let full = format!("{}\n{}", crate::basis::BASIS, src);
     compile(&full, strategy)
+}
+
+/// Renders a diagnostic from a compile of the user's program `src`
+/// (labelled `name`, a file name or `<expr>`), made with the basis
+/// prepended when `with_basis`. Line numbers are always the user's own:
+/// a span past the prefix [`compile_with_basis`] adds is shifted back
+/// into `src`, and a span inside the basis is rendered against the basis
+/// and labelled `<basis>`.
+pub fn render_diagnostic(d: &Diagnostic, src: &str, with_basis: bool, name: &str) -> String {
+    // `compile_with_basis` puts the basis and one newline before `src`.
+    let prefix = crate::basis::BASIS.len() as u32 + 1;
+    if !with_basis || d.primary.is_dummy() {
+        return d.render(&SourceMap::new(src), name);
+    }
+    if d.primary.start < prefix {
+        return d.render(&SourceMap::new(crate::basis::BASIS), "<basis>");
+    }
+    let mut user = d.clone();
+    user.primary = Span::new(d.primary.start - prefix, d.primary.end - prefix);
+    user.render(&SourceMap::new(src), name)
 }
 
 /// Validates a compiled program against the paper's typing rules
@@ -238,8 +247,10 @@ fn check_with(c: &Compiled, gc: rml_core::typing::GcCheck) -> Result<(), Diagnos
         })
 }
 
-/// Serializes a compiled program's region-annotated IR (see
-/// [`rml_core::ir`] for the format and its versioning rules).
+/// Encodes a compiled program's region-annotated term, exceptions and
+/// schemes in the write-only RMLI format (see [`rml_core::ir`]). Nothing
+/// reads the bytes back: their length is the measured size of the
+/// annotated program.
 pub fn emit_ir(c: &Compiled) -> Vec<u8> {
     let prog = rml_core::ir::IrProgram {
         term: c.output.term.clone(),
@@ -250,38 +261,6 @@ pub fn emit_ir(c: &Compiled) -> Vec<u8> {
     rml_core::ir::encode_program(&prog)
 }
 
-/// Loads a program back from serialized IR, skipping the front end
-/// entirely: no parsing, typing, or region inference happens (and the
-/// process compile counter is *not* bumped). The representation analyses
-/// are re-derived from the decoded term — they are cheap and not part of
-/// the format. Inference-time artifacts that do not survive serialization
-/// (statistics, store counters, provenance) come back empty.
-///
-/// # Errors
-///
-/// Any [`rml_core::ir::IrError`]: bad magic, version mismatch, truncated
-/// or trailing input, or a corrupt encoding.
-pub fn load_ir(bytes: &[u8], strategy: Strategy) -> Result<Compiled, rml_core::ir::IrError> {
-    let prog = rml_core::ir::decode_program(bytes)?;
-    let repr = rml_repr::analyze(&prog.term);
-    Ok(Compiled {
-        source: String::new(),
-        typed: None,
-        output: rml_infer::Output {
-            term: prog.term,
-            exns: prog.exns,
-            global: prog.global,
-            stats: rml_infer::Stats::default(),
-            store_stats: Default::default(),
-            schemes: prog.schemes,
-            provenance: Default::default(),
-        },
-        repr,
-        strategy,
-        timings: CompileTimings::default(),
-    })
-}
-
 /// Execution options.
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
@@ -290,8 +269,6 @@ pub struct ExecOpts {
     pub gc: Option<GcPolicy>,
     /// Run the regionless baseline machine instead.
     pub baseline: bool,
-    /// Use the finite-region classification from `rml-repr`.
-    pub use_finite_regions: bool,
     /// Use the partly tag-free (untagged pairs/refs/cons) representation
     /// for kind-homogeneous regions (paper Section 6).
     pub tag_free: bool,
@@ -311,7 +288,6 @@ impl Default for ExecOpts {
         ExecOpts {
             gc: None,
             baseline: false,
-            use_finite_regions: true,
             tag_free: true,
             fuel: u64::MAX,
             alloc_budget: None,
@@ -337,7 +313,7 @@ pub fn execute(c: &Compiled, opts: &ExecOpts) -> Result<RunOutcome, RunError> {
         Strategy::R => GcPolicy::Off,
         _ => GcPolicy::default_on(),
     });
-    if opts.use_finite_regions && !opts.baseline {
+    if !opts.baseline {
         ro.finite = c.repr.finite.clone();
         ro.finite_bounds = c.repr.bounds.clone();
     }
@@ -389,6 +365,18 @@ mod tests {
             compile("val x = 1 + \"two\"", Strategy::Rg),
             Err(CompileError::Type(_))
         ));
+    }
+
+    #[test]
+    fn ir_size_ignores_variable_numbering() {
+        // Two compiles of one program draw different fresh variables; the
+        // encoding writes each as a fixed-width id, so the measured size
+        // is the same.
+        let src = "fun f x = (x, [x]) fun main () = #1 (f 1)";
+        let a = compile(src, Strategy::Rg).unwrap();
+        let b = compile(src, Strategy::Rg).unwrap();
+        assert_ne!(a.output.global, b.output.global);
+        assert_eq!(emit_ir(&a).len(), emit_ir(&b).len());
     }
 
     #[test]

@@ -96,3 +96,33 @@ fn profile_without_a_sink_flag_changes_nothing() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("trace events"), "unexpected: {err}");
 }
+
+#[test]
+fn basis_prefixed_diagnostics_point_into_the_right_file() {
+    // A type error on line 2 of the user's file is reported at line 2,
+    // with or without the basis prepended.
+    let dir = std::env::temp_dir().join(format!("rmlc-diag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.rml");
+    std::fs::write(&bad, "fun main () = 1\nval x = 1 + \"two\"\n").unwrap();
+    let bad = bad.display().to_string();
+    for basis in [&[][..], &["--no-basis"][..]] {
+        let out = rmlc().args(basis).arg(&bad).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("--> {bad}:2:9")), "{basis:?}: {err}");
+        assert!(err.contains("2 | val x = 1 + \"two\""), "{basis:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    // Under rg-, Fig. 1 with the basis fails the full check on the
+    // basis's own `o`: the span is labelled as the basis, not the file.
+    let out = rmlc()
+        .args(["--strategy", "rg-", "--check-full", "examples/fig1.rml"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--> <basis>:3:16"), "{err}");
+    assert!(err.contains("fun o (f, g) = fn x => f (g x)"), "{err}");
+    assert!(!err.contains("examples/fig1.rml"), "{err}");
+}
