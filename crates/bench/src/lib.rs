@@ -53,7 +53,7 @@ pub fn arg_u64(nth: usize, what: &str, default: u64) -> u64 {
     }
 }
 
-/// One measured run: a label, its best-of-`repeats` time, and the
+/// One measured run: a label, the spread of its `repeats` times, and the
 /// metrics snapshot of the run — the only copy of its counters.
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -61,6 +61,10 @@ pub struct Measurement {
     pub label: &'static str,
     /// Wall-clock time (best of `repeats`).
     pub time: Duration,
+    /// Median of the `repeats` times.
+    pub median: Duration,
+    /// Slowest of the `repeats` times.
+    pub max: Duration,
     /// Steps, heap statistics, GC pauses and compile timings of the run,
     /// or the run error (a dangling pointer under `rg-`).
     pub metrics: Result<MetricsSnapshot, String>,
@@ -129,25 +133,39 @@ pub fn measure_compiled(
     label: &'static str,
     repeats: usize,
 ) -> Measurement {
-    let mut time = Duration::MAX;
+    let mut times = Vec::new();
     let mut metrics = Err("not run".to_string());
     for _ in 0..repeats.max(1) {
         let t0 = Instant::now();
         match execute(c, opts) {
             Ok(out) => {
-                time = time.min(t0.elapsed());
+                times.push(t0.elapsed());
                 metrics = Ok(MetricsSnapshot::new(&c.timings, c.output.store_stats, &out));
             }
             Err(e) => {
-                time = Duration::ZERO;
+                times = vec![Duration::ZERO];
                 metrics = Err(e.to_string());
                 break;
             }
         }
     }
+    spread(label, times, metrics)
+}
+
+/// A measurement from its (at least one) repeat times: minimum, median
+/// and maximum.
+fn spread(
+    label: &'static str,
+    mut times: Vec<Duration>,
+    metrics: Result<MetricsSnapshot, String>,
+) -> Measurement {
+    times.sort();
+    let n = times.len();
     Measurement {
         label,
-        time,
+        time: times[0],
+        median: (times[(n - 1) / 2] + times[n / 2]) / 2,
+        max: times[n - 1],
         metrics,
     }
 }
@@ -328,14 +346,16 @@ pub fn ablations(repeats: usize) -> Vec<Ablation> {
         ]
         .into_iter()
         .map(|(label, style)| {
-            let best = (0..repeats.max(1))
+            let compiles: Vec<rml::Compiled> = (0..repeats.max(1))
                 .map(|_| rml::pipeline::compile_opts(&full, Strategy::Rg, style).expect("compile"))
+                .collect();
+            let times = compiles.iter().map(|c| c.timings.total).collect();
+            let best = compiles
+                .iter()
                 .min_by_key(|c| c.timings.total)
                 .expect("at least one compile");
-            Measurement {
-                time: best.timings.total,
-                ..measure_compiled(&best, &ExecOpts::default(), label, 1)
-            }
+            let run = measure_compiled(best, &ExecOpts::default(), label, 1);
+            spread(label, times, run.metrics)
         })
         .collect();
         let life = compiled("life");
@@ -436,10 +456,11 @@ fn ms(d: Duration) -> String {
     format!("{:.1}ms", d.as_secs_f64() * 1000.0)
 }
 
-/// A run's time, or `CRASH` when it ended in a run error.
+/// A run's best time with the median of its repeats, `min (median)`,
+/// or `CRASH` when it ended in a run error.
 fn time_cell(m: &Measurement) -> String {
     match m.metrics {
-        Ok(_) => ms(m.time),
+        Ok(_) => format!("{} ({:.1})", ms(m.time), m.median.as_secs_f64() * 1000.0),
         Err(_) => "CRASH".to_string(),
     }
 }
@@ -455,19 +476,19 @@ pub fn render(rows: &[Row]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<12} {:>4} {:>8} {:>9} {:>4} | {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} {:>8} {:>8} | {:>6} {:>6}",
+        "{:<12} {:>4} {:>8} {:>9} {:>4} | {:>17} {:>17} {:>17} {:>17} | {:>8} {:>8} {:>8} {:>8} | {:>6} {:>6}",
         "program", "loc", "fcns", "inst", "diff",
         "rg", "rg-", "r", "mlton*",
         "rss rg", "rss rg-", "rss r", "rss ml*",
         "gc rg", "gc rg-"
     );
-    let _ = writeln!(s, "{}", "-".repeat(150));
+    let _ = writeln!(s, "{}", "-".repeat(182));
     for r in rows {
         let rss = |m: &Measurement| count_cell(m, |x| kb(x.heap.peak_bytes()));
         let gc = |m: &Measurement| count_cell(m, |x| x.heap.gc_count.to_string());
         let _ = writeln!(
             s,
-            "{:<12} {:>4} {:>8} {:>9} {:>4} | {:>9} {:>9} {:>9} {:>9} | {:>8} {:>8} {:>8} {:>8} | {:>6} {:>6}",
+            "{:<12} {:>4} {:>8} {:>9} {:>4} | {:>17} {:>17} {:>17} {:>17} | {:>8} {:>8} {:>8} {:>8} | {:>6} {:>6}",
             r.name,
             r.loc,
             format!("{}/{}", r.fcns.0, r.fcns.1),
@@ -531,14 +552,14 @@ pub fn render_ablations(ablations: &[Ablation]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<15} {:<8} {:<13} {:>8} {:>10} {:>10} {:>10} {:>8} {:>5}",
+        "{:<15} {:<8} {:<13} {:>8} {:>18} {:>10} {:>10} {:>8} {:>5}",
         "ablation", "program", "variant", "timed", "time", "steps", "alloc", "peak", "gc"
     );
     for a in ablations {
         for m in &a.runs {
             let _ = writeln!(
                 s,
-                "{:<15} {:<8} {:<13} {:>8} {:>10} {:>10} {:>10} {:>8} {:>5}",
+                "{:<15} {:<8} {:<13} {:>8} {:>18} {:>10} {:>10} {:>8} {:>5}",
                 a.name,
                 a.program,
                 m.label,
@@ -567,6 +588,8 @@ fn measurement_json(m: &Measurement) -> Json {
     Json::obj([
         ("label", Json::str(m.label)),
         ("time_ms", json_ms(m.time)),
+        ("median_ms", json_ms(m.median)),
+        ("max_ms", json_ms(m.max)),
         outcome,
     ])
 }
@@ -699,6 +722,10 @@ mod tests {
         let labels: Vec<&str> = r.runs.iter().map(|m| m.label).collect();
         assert_eq!(labels, ["rg", "rg-", "r", "baseline"]);
         assert!(r.runs.iter().all(|m| m.metrics.is_ok()));
+        assert!(r
+            .runs
+            .iter()
+            .all(|m| m.time <= m.median && m.median <= m.max));
         assert!(r.loc > 0);
     }
 
@@ -708,6 +735,7 @@ mod tests {
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
         assert!(j.contains("\"name\":\"fib\""));
         assert!(j.contains("\"label\":\"baseline\""));
+        assert!(j.contains("\"median_ms\"") && j.contains("\"max_ms\""));
         assert!(j.contains("\"ablations\":[]"));
         // Every non-crashed run embeds the unified metrics snapshot.
         assert!(j.contains("\"metrics\""));

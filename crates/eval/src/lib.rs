@@ -10,8 +10,8 @@
 //!   collector traces real pointers — including the dangling ones that
 //!   strategy `rg-` leaves behind,
 //! * all live values are reachable from an enumerable **root set**
-//!   (the control value, the continuation frames, and the environment
-//!   chains), so collection can happen between any two machine steps,
+//!   (the control value, the continuation frames, and the bindings in
+//!   scope), so collection can happen between any two machine steps,
 //! * `letregion` pushes and pops regions on the region stack;
 //!   deallocation poisons pages so stale pointers are detected,
 //! * a baseline mode ([`RunOpts::baseline`]) ignores regions entirely and
@@ -34,8 +34,8 @@
 // (compiled only under `cfg(test)`) are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod code;
 mod decode;
+mod lower;
 mod machine;
 
 pub use decode::RunValue;

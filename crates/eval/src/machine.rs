@@ -1,73 +1,20 @@
-//! The machine proper.
+//! The machine proper: runs the code vector built by [`crate::lower`].
+//!
+//! Each function call pushes one activation holding the callee's value
+//! and region slots; continuation frames that resume evaluation in a
+//! function body name the node that pushed them. The collector's roots
+//! are the control value, the values held in frames, and the bindings in
+//! scope at the control node and at each such frame — never a slot whose
+//! scope has ended, which would be the paper's dead-but-traced value.
 
-use crate::code::{CodeEntry, CodeId, CodeTable};
 use crate::decode::RunValue;
-use rml_core::terms::Term;
+use crate::lower::{Code, Op, Pc, Program, Site, Slot};
 use rml_core::vars::RegVar;
 use rml_runtime::{GcError, GcPause, Heap, ObjKind, RegionId, RegionKind, UniformKind, Word};
 use rml_session::trace;
 use rml_syntax::ast::PrimOp;
 use rml_syntax::Symbol;
-use std::cell::Cell;
 use std::collections::HashSet;
-use std::rc::Rc;
-
-/// A linked environment node (values live in `Cell`s so the collector can
-/// update them in place).
-struct EnvNode {
-    name: Symbol,
-    val: Cell<u64>,
-    next: Env,
-}
-
-type Env = Option<Rc<EnvNode>>;
-
-fn env_bind(env: &Env, name: Symbol, val: Word) -> Env {
-    Some(Rc::new(EnvNode {
-        name,
-        val: Cell::new(val.0),
-        next: env.clone(),
-    }))
-}
-
-fn env_lookup(env: &Env, name: Symbol) -> Option<Word> {
-    let mut cur = env;
-    while let Some(n) = cur {
-        if n.name == name {
-            return Some(Word(n.val.get()));
-        }
-        cur = &n.next;
-    }
-    None
-}
-
-/// Region environment (no collector interaction).
-struct REnvNode {
-    var: RegVar,
-    region: RegionId,
-    next: REnv,
-}
-
-type REnv = Option<Rc<REnvNode>>;
-
-fn renv_bind(renv: &REnv, var: RegVar, region: RegionId) -> REnv {
-    Some(Rc::new(REnvNode {
-        var,
-        region,
-        next: renv.clone(),
-    }))
-}
-
-fn renv_lookup(renv: &REnv, var: RegVar) -> Option<RegionId> {
-    let mut cur = renv;
-    while let Some(n) = cur {
-        if n.var == var {
-            return Some(n.region);
-        }
-        cur = &n.next;
-    }
-    None
-}
 
 /// A deterministic adversarial collection schedule (the torture rig).
 ///
@@ -319,129 +266,100 @@ pub struct RunOutcome {
     pub pauses: Vec<GcPause>,
 }
 
-enum Frame<'a> {
-    AppArg {
-        arg: &'a Term,
-        env: Env,
-        renv: REnv,
-        /// For the fused `(f [S]) arg` form: the instantiation, resolved
-        /// against the *caller's* region environment at call time, so no
-        /// specialised closure is allocated per call.
-        inst: Option<&'a rml_core::Subst>,
+/// A pending continuation.
+enum Frame {
+    /// Resume the function body at node `Pc` (an `App`, `Let`, `Pair`,
+    /// `If`, `Cons`, `Case`, `Assign` or `Handle`) with the value of its
+    /// first subterm; the bindings in scope at that node stay live.
+    Resume(Pc),
+    /// A primitive with `n` operands evaluated; also keeps its node's
+    /// bindings live.
+    Prim {
+        pc: Pc,
+        n: u8,
+        done: [u64; 2],
     },
     AppCall {
-        clos: Cell<u64>,
-        inst: Option<&'a rml_core::Subst>,
-        renv: REnv,
+        clos: u64,
+        inst: Option<u32>,
     },
     RApp {
-        inst: &'a rml_core::Subst,
-        at: RegVar,
-        renv: REnv,
-    },
-    LetBody {
-        x: Symbol,
-        body: &'a Term,
-        env: Env,
-        renv: REnv,
-    },
-    PairSnd {
-        snd: &'a Term,
-        env: Env,
-        renv: REnv,
-        at: RegVar,
+        inst: u32,
+        at: Slot,
     },
     PairMk {
-        fst: Cell<u64>,
-        at: RegVar,
-        renv: REnv,
-    },
-    Sel(u8),
-    IfBranch {
-        t: &'a Term,
-        f: &'a Term,
-        env: Env,
-        renv: REnv,
-    },
-    Prim {
-        op: PrimOp,
-        at: Option<RegVar>,
-        renv: REnv,
-        env: Env,
-        done: Vec<Cell<u64>>,
-        rest: Vec<&'a Term>, // reversed: next arg = rest.pop()
-    },
-    ConsTail {
-        tail: &'a Term,
-        env: Env,
-        renv: REnv,
-        at: RegVar,
+        fst: u64,
+        at: Slot,
     },
     ConsMk {
-        head: Cell<u64>,
-        at: RegVar,
-        renv: REnv,
+        head: u64,
+        at: Slot,
     },
-    Case {
-        nil_rhs: &'a Term,
-        head: Symbol,
-        tail: Symbol,
-        cons_rhs: &'a Term,
-        env: Env,
-        renv: REnv,
-    },
-    RefMk {
-        at: RegVar,
-        renv: REnv,
-    },
-    Deref,
-    AssignRhs {
-        rhs: &'a Term,
-        env: Env,
-        renv: REnv,
-    },
-    AssignDo {
-        target: Cell<u64>,
-    },
-    PopRegions {
-        regions: Vec<RegionId>,
-    },
+    RefMk(Slot),
     ExnMk {
         name: Symbol,
-        at: RegVar,
-        renv: REnv,
+        at: Slot,
     },
+    Sel(u8),
+    Deref,
+    AssignDo(u64),
     RaiseDo,
-    Handle {
-        exn: Symbol,
-        arg: Symbol,
-        handler: &'a Term,
-        env: Env,
-        renv: REnv,
+    /// Drops regions `first..first + n` (created consecutively).
+    PopRegions {
+        first: u32,
+        n: u32,
     },
 }
 
-enum Ctrl<'a> {
-    Eval(&'a Term, Env, REnv),
-    Ret(Cell<u64>),
+enum Ctrl {
+    Eval(Pc),
+    Ret(u64),
+}
+
+/// A function activation: value slots addressed from `vb` (captures
+/// below it) up to `vhi`, region slots from `rb` up to `rhi`. It owns the
+/// frames pushed since it began (`kont[base..]`, up to the next
+/// activation's base) and dies when control returns below `base`, or
+/// when it makes a call with none of its frames pending.
+struct Act {
+    code: usize,
+    base: usize,
+    vb: usize,
+    vhi: usize,
+    rb: usize,
+    rhi: usize,
 }
 
 struct Machine<'a> {
+    prog: &'a Program,
+    opts: &'a RunOpts,
     heap: Heap,
-    code: CodeTable<'a>,
-    kont: Vec<Frame<'a>>,
+    kont: Vec<Frame>,
+    acts: Vec<Act>,
+    vals: Vec<u64>,
+    regs: Vec<RegionId>,
+    /// Value and region base of the current activation.
+    vb: usize,
+    rb: usize,
     output: String,
     steps: u64,
-    opts: RunOpts,
     global_region: RegionId,
     gc_pending: bool,
     collections_since_major: u32,
     /// Seeded PRNG driving minor/major interleaving under stress
     /// schedules; the only source of "randomness" in the machine.
     rng: rml_runtime::Xorshift64,
+    /// Reused buffers: closure payloads, a group's closures and call-site
+    /// region arguments.
+    buf: Vec<u64>,
+    group: Vec<Word>,
+    rargs: Vec<RegionId>,
 }
 
 type MResult<T> = Result<T, RunError>;
+
+/// Sentinel code id of the program body's activation.
+const MAIN: usize = usize::MAX;
 
 /// Runs a region-annotated program.
 ///
@@ -449,8 +367,8 @@ type MResult<T> = Result<T, RunError>;
 ///
 /// See [`RunError`]; in particular [`RunError::Dangling`] reports a
 /// dangling pointer met by the mutator or the collector.
-pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
-    let code = CodeTable::build(term);
+pub fn run(term: &rml_core::Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
+    let prog = crate::lower::lower(term, opts);
     let mut heap = Heap::new();
     heap.generational = opts.gc.generational();
     let global_region = heap.create_region(RegionKind::Infinite);
@@ -458,29 +376,44 @@ pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
         GcPolicy::Stress(s) => s.seed,
         _ => 0,
     };
+    // Residual free region variables of the program (e.g. regions of the
+    // final result value) live for the whole run, like the global region;
+    // they are created in variable order.
+    let main = &prog.main;
+    let rb = main.frvs.len();
+    let mut regs = vec![global_region; rb + main.nregs];
+    for &i in main.rperm.iter() {
+        regs[rb - 1 - i as usize] = heap.create_region(RegionKind::Infinite);
+    }
     let mut m = Machine {
+        prog: &prog,
+        opts,
         heap,
-        code,
         kont: Vec::new(),
+        acts: vec![Act {
+            code: MAIN,
+            base: 0,
+            vb: 0,
+            vhi: main.nvals,
+            rb,
+            rhi: regs.len(),
+        }],
+        vals: vec![Word::UNIT.0; main.nvals],
+        regs,
+        vb: 0,
+        rb,
         output: String::new(),
         steps: 0,
-        opts: opts.clone(),
         global_region,
         gc_pending: false,
         collections_since_major: 0,
         rng: rml_runtime::Xorshift64::new(seed),
+        buf: Vec::new(),
+        group: Vec::new(),
+        rargs: Vec::new(),
     };
-    let mut renv = renv_bind(&None, opts.global, global_region);
-    // Residual free region variables of the program (e.g. regions of the
-    // final result value) live for the whole run, like the global region.
-    let mut free = std::collections::BTreeSet::new();
-    crate::code::free_rvars(term, &mut vec![opts.global], &mut free);
-    for rv in free {
-        let r = m.heap.create_region(RegionKind::Infinite);
-        renv = renv_bind(&renv, rv, r);
-    }
     let run_span = trace::span("machine.run", "eval");
-    let value = m.run_loop(term, renv)?;
+    let value = m.run_loop(main.body)?;
     drop(run_span);
     let value = crate::decode::decode(&m.heap, value);
     Ok(RunOutcome {
@@ -492,13 +425,57 @@ pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
     })
 }
 
-impl<'a> Machine<'a> {
-    fn region(&self, renv: &REnv, rv: RegVar) -> MResult<RegionId> {
+fn stuck<T>(msg: impl Into<String>) -> MResult<T> {
+    Err(RunError::Stuck(msg.into()))
+}
+
+/// Visits the bindings of activation `a` in scope at node `pc`, innermost
+/// first, down to the `seen` outermost ones already visited; returns how
+/// many are visited now. Bindings count from the outermost: siblings,
+/// then captures (in closure order), then locals.
+fn visit_scope(
+    prog: &Program,
+    vals: &mut [u64],
+    a: &Act,
+    pc: Pc,
+    seen: usize,
+    f: &mut impl FnMut(&mut u64),
+) -> usize {
+    let c: &Code = prog.codes.get(a.code).unwrap_or(&prog.main);
+    let (k, n) = (c.k, c.fvs.len());
+    let d = k + n + prog.nodes[pc as usize].depth as usize;
+    for li in (seen..d).rev() {
+        let ix = match li {
+            _ if li < k => a.vb + li,
+            _ if li < k + n => a.vb - 1 - c.perm[li - k] as usize,
+            _ => a.vb + li - n,
+        };
+        f(&mut vals[ix]);
+    }
+    seen.max(d)
+}
+
+impl Machine<'_> {
+    /// Index of value slot `s` of the current activation.
+    fn slot(&self, s: Slot) -> usize {
+        self.vb.wrapping_add_signed(s as isize)
+    }
+
+    fn region(&self, s: Slot) -> RegionId {
         if self.opts.baseline {
-            return Ok(self.global_region);
+            return self.global_region;
         }
-        renv_lookup(renv, rv)
-            .ok_or_else(|| RunError::Stuck(format!("unbound region variable {rv}")))
+        self.regs[self.rb.wrapping_add_signed(s as isize)]
+    }
+
+    /// The caller's region for region parameter `rv` under instantiation
+    /// `inst`.
+    fn inst_region(&self, inst: u32, rv: RegVar) -> MResult<RegionId> {
+        let pairs = &self.prog.insts[inst as usize];
+        match pairs.binary_search_by_key(&rv, |p| p.0) {
+            Ok(j) => Ok(self.region(pairs[j].1)),
+            Err(_) => stuck(format!("unbound region variable {rv}")),
+        }
     }
 
     fn dangling<T>(&self, e: rml_runtime::heap::DanglingAccess) -> MResult<T> {
@@ -511,8 +488,26 @@ impl<'a> Machine<'a> {
         self.heap.field(w, i, ctx).or_else(|e| self.dangling(e))
     }
 
-    fn run_loop(&mut self, term: &'a Term, renv: REnv) -> MResult<Word> {
-        let mut ctrl = Ctrl::Eval(term, None, renv);
+    fn set_field(&mut self, w: Word, i: usize, v: Word, ctx: &'static str) -> MResult<()> {
+        self.heap
+            .set_field(w, i, v, ctx)
+            .or_else(|e| self.dangling(e))
+    }
+
+    fn header(&self, w: Word, ctx: &'static str) -> MResult<rml_runtime::word::Header> {
+        self.heap.header(w, ctx).or_else(|e| self.dangling(e))
+    }
+
+    fn read_str(&self, w: Word, ctx: &'static str) -> MResult<String> {
+        self.heap.read_str(w, ctx).or_else(|e| self.dangling(e))
+    }
+
+    fn field_raw(&self, w: Word, i: usize) -> MResult<u64> {
+        self.field(w, i, "closure raw field").map(|x| x.0)
+    }
+
+    fn run_loop(&mut self, body: Pc) -> MResult<Word> {
+        let mut ctrl = Ctrl::Eval(body);
         loop {
             self.steps += 1;
             if self.steps > self.opts.fuel {
@@ -524,14 +519,29 @@ impl<'a> Machine<'a> {
                 trace::counter("machine.steps", self.steps as f64);
             }
             self.check_faults()?;
-            self.maybe_collect(&ctrl)?;
+            self.maybe_collect(&mut ctrl)?;
             ctrl = match ctrl {
-                Ctrl::Eval(e, env, renv) => self.eval(e, env, renv)?,
+                Ctrl::Eval(pc) => self.eval(pc)?,
                 Ctrl::Ret(w) => match self.kont.pop() {
-                    None => return Ok(Word(w.get())),
-                    Some(frame) => self.apply(frame, Word(w.get()))?,
+                    None => return Ok(Word(w)),
+                    Some(frame) => {
+                        self.resume();
+                        self.apply(frame, Word(w))?
+                    }
                 },
             };
+        }
+    }
+
+    /// Makes the owner of the frame just popped the current activation,
+    /// dropping the activations begun after it.
+    fn resume(&mut self) {
+        let p = self.kont.len();
+        while self.acts.last().is_some_and(|a| a.base > p) {
+            self.acts.pop();
+        }
+        if let Some(a) = self.acts.last() {
+            (self.vb, self.rb) = (a.vb, a.rb);
         }
     }
 
@@ -595,57 +605,46 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Gathers the machine's root set: the control value, frame cells,
-    /// and environment chains. The returned cells stay valid while `ctrl`
-    /// and `self.kont` are untouched.
-    fn gather_roots(&self, ctrl: &Ctrl<'a>) -> Vec<*const Cell<u64>> {
-        let mut cells: Vec<*const Cell<u64>> = Vec::new();
-        let mut visited: HashSet<*const EnvNode> = HashSet::new();
-        let mut envs: Vec<&Env> = Vec::new();
+    /// Visits the root set in a fixed order: the control value, the
+    /// values held in frames, then the bindings in scope at the control
+    /// node and at each resuming frame, oldest frame first. Each scope is
+    /// visited from its innermost binding out and stops at the first
+    /// binding already visited: the frames of one activation see nested
+    /// scopes of the same body, so each slot is visited once.
+    fn each_root(&mut self, ctrl: &mut Ctrl, mut f: impl FnMut(&mut u64)) {
         if let Ctrl::Ret(w) = ctrl {
-            cells.push(w as *const Cell<u64>);
+            f(w);
         }
-        if let Ctrl::Eval(_, env, _) = ctrl {
-            envs.push(env);
-        }
-        for f in &self.kont {
-            match f {
-                Frame::AppArg { env, .. }
-                | Frame::LetBody { env, .. }
-                | Frame::PairSnd { env, .. }
-                | Frame::IfBranch { env, .. }
-                | Frame::ConsTail { env, .. }
-                | Frame::Case { env, .. }
-                | Frame::AssignRhs { env, .. }
-                | Frame::Handle { env, .. } => envs.push(env),
-                Frame::AppCall { clos, .. } => cells.push(clos as *const _),
-                Frame::PairMk { fst, .. } => cells.push(fst as *const _),
-                Frame::ConsMk { head, .. } => cells.push(head as *const _),
-                Frame::AssignDo { target } => cells.push(target as *const _),
-                Frame::Prim { done, env, .. } => {
-                    envs.push(env);
-                    for c in done {
-                        cells.push(c as *const _);
-                    }
-                }
+        for frame in &mut self.kont {
+            match frame {
+                Frame::AppCall { clos: v, .. }
+                | Frame::PairMk { fst: v, .. }
+                | Frame::ConsMk { head: v, .. }
+                | Frame::AssignDo(v) => f(v),
+                Frame::Prim { n, done, .. } => done[..*n as usize].iter_mut().for_each(&mut f),
                 _ => {}
             }
         }
-        for env in envs {
-            let mut cur = env;
-            while let Some(n) = cur {
-                if visited.insert(Rc::as_ptr(n)) {
-                    cells.push(&n.val as *const _);
-                    cur = &n.next;
-                } else {
-                    break;
-                }
+        let (prog, acts, vals) = (self.prog, &self.acts, &mut self.vals);
+        let top = acts.len() - 1;
+        let top_seen = match ctrl {
+            Ctrl::Eval(pc) => visit_scope(prog, vals, &acts[top], *pc, 0, &mut f),
+            Ctrl::Ret(_) => 0,
+        };
+        let (mut a, mut seen) = (0, if top == 0 { top_seen } else { 0 });
+        for (i, frame) in self.kont.iter().enumerate() {
+            let (Frame::Resume(pc) | Frame::Prim { pc, .. }) = frame else {
+                continue;
+            };
+            while a < top && acts[a + 1].base <= i {
+                a += 1;
+                seen = if a == top { top_seen } else { 0 };
             }
+            seen = visit_scope(prog, vals, &acts[a], *pc, seen, &mut f);
         }
-        cells
     }
 
-    fn maybe_collect(&mut self, ctrl: &Ctrl<'a>) -> MResult<()> {
+    fn maybe_collect(&mut self, ctrl: &mut Ctrl) -> MResult<()> {
         let decision = self.gc_decision();
         let verify_now = match self.opts.verify {
             VerifyLevel::Off => false,
@@ -655,9 +654,8 @@ impl<'a> Machine<'a> {
         if decision.is_none() && !verify_now {
             return Ok(());
         }
-        let cells = self.gather_roots(ctrl);
-        // Two-phase: read all roots, collect, write back.
-        let mut roots: Vec<Word> = cells.iter().map(|c| Word(unsafe { &**c }.get())).collect();
+        let mut roots = Vec::new();
+        self.each_root(ctrl, |v| roots.push(Word(*v)));
         if let Some((minor, forced)) = decision {
             self.gc_pending = false;
             if forced {
@@ -674,9 +672,9 @@ impl<'a> Machine<'a> {
                 }
                 Err(e @ GcError::Corrupt { .. }) => return Err(RunError::Invariant(e.to_string())),
             }
-            for (c, w) in cells.iter().zip(&roots) {
-                unsafe { &**c }.set(w.0);
-            }
+            // The same walk again writes the moved roots back in order.
+            let mut moved = roots.iter();
+            self.each_root(ctrl, |v| *v = moved.next().map_or(*v, |w| w.0));
         }
         if verify_now {
             match self.heap.verify(&roots) {
@@ -696,580 +694,327 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    fn eval(&mut self, e: &'a Term, env: Env, renv: REnv) -> MResult<Ctrl<'a>> {
-        let ret = |w: Word| Ok(Ctrl::Ret(Cell::new(w.0)));
-        match e {
-            Term::Unit => ret(Word::UNIT),
-            Term::Int(n) => ret(Word::int(*n)),
-            Term::Bool(b) => ret(Word::bool(*b)),
-            Term::Nil(_) => ret(Word::NIL),
-            Term::Var(x) => match env_lookup(&env, *x) {
-                Some(w) => ret(w),
-                None => Err(RunError::Stuck(format!("unbound variable `{x}`"))),
-            },
-            Term::Val(_) => Err(RunError::Stuck(
-                "embedded values only occur in the formal semantics".into(),
-            )),
-            Term::Str(s, at) => {
-                let r = self.region(&renv, *at)?;
+    fn eval(&mut self, pc: Pc) -> MResult<Ctrl> {
+        let ret = |w: Word| Ok(Ctrl::Ret(w.0));
+        let prog = self.prog;
+        match &prog.nodes[pc as usize].op {
+            Op::Unit => ret(Word::UNIT),
+            Op::Int(n) => ret(Word::int(*n)),
+            Op::Bool(b) => ret(Word::bool(*b)),
+            Op::Nil => ret(Word::NIL),
+            Op::Var(s) => ret(Word(self.vals[self.slot(*s)])),
+            Op::Stuck(msg) => stuck(&**msg),
+            Op::Str(s, at) => {
+                let r = self.region(*at);
                 ret(self.heap.alloc_str(r, s))
             }
-            Term::Lam { at, .. } => {
-                let id = self.code.lam_ids[&(e as *const Term as usize)];
-                let w = self.make_closure(id, &env, &renv, *at, None)?;
+            Op::Closure(site, len, index) => {
+                let sites = &prog.sites[*site as usize..(*site + *len) as usize];
+                // Allocate the whole group, then patch sibling slots.
+                let mut words = std::mem::take(&mut self.group);
+                words.clear();
+                for s in sites {
+                    words.push(self.make_closure(s));
+                }
+                for (s, w) in sites.iter().zip(&words) {
+                    let c = &prog.codes[s.code];
+                    for (j, sw) in words.iter().enumerate().take(c.k) {
+                        self.set_field(*w, c.raw() + j, *sw, "fix patch")?;
+                    }
+                }
+                let w = words[*index as usize];
+                self.group = words;
                 ret(w)
             }
-            Term::Fix { defs, ats, index } => {
-                let key = Rc::as_ptr(defs) as usize;
-                let members = self.code.fix_ids[&key].clone();
-                // Allocate the whole group, then patch sibling slots.
-                let mut words = Vec::new();
-                for (i, id) in members.iter().enumerate() {
-                    let w = self.make_closure(*id, &env, &renv, ats[i], Some(members.len()))?;
-                    words.push(w);
-                }
-                for (i, w) in words.iter().enumerate() {
-                    let raw = self.raw_len(members[i]);
-                    for (j, sw) in words.iter().enumerate() {
-                        self.heap
-                            .set_field(*w, raw + j, *sw, "fix patch")
-                            .or_else(|e| self.dangling(e))?;
-                    }
-                }
-                ret(words[*index])
+            Op::App(f, ..) | Op::Pair(f, ..) | Op::If(f, ..) | Op::Cons(f, ..) => {
+                self.push(Frame::Resume(pc), *f)
             }
-            Term::App(f, a) => {
-                // Fuse `(f [S]) arg`: pass the region instantiation at the
-                // call instead of allocating a specialised closure (the
-                // MLKit passes region arguments in registers).
-                if let Term::RApp { f: inner, inst, .. } = f.as_ref() {
-                    self.kont.push(Frame::AppArg {
-                        arg: a,
-                        env: env.clone(),
-                        renv: renv.clone(),
-                        inst: Some(inst),
-                    });
-                    return Ok(Ctrl::Eval(inner, env, renv));
-                }
-                self.kont.push(Frame::AppArg {
-                    arg: a,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                    inst: None,
-                });
-                Ok(Ctrl::Eval(f, env, renv))
+            Op::Let(f, ..) | Op::Case(f, ..) | Op::Assign(f, _) | Op::Handle(f, ..) => {
+                self.push(Frame::Resume(pc), *f)
             }
-            Term::RApp { f, inst, at } => {
-                self.kont.push(Frame::RApp {
-                    inst,
+            Op::RApp(f, inst, at) => self.push(
+                Frame::RApp {
+                    inst: *inst,
                     at: *at,
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(f, env, renv))
-            }
-            Term::Let { x, rhs, body } => {
-                self.kont.push(Frame::LetBody {
-                    x: *x,
-                    body,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(rhs, env, renv))
-            }
-            Term::Letregion { rvars, body, .. } => {
+                },
+                *f,
+            ),
+            Op::Letregion(spec, n, first, body) => {
                 if self.opts.baseline {
-                    return Ok(Ctrl::Eval(body, env, renv));
+                    return Ok(Ctrl::Eval(*body));
                 }
-                let mut renv2 = renv;
-                let mut regions = Vec::new();
-                for rv in rvars {
-                    let kind = if self.opts.finite.contains(rv) {
-                        RegionKind::Finite
-                    } else {
-                        RegionKind::Infinite
-                    };
-                    let uniform = self.opts.uniform.get(rv).copied();
-                    let r = self.heap.create_region_uniform(kind, uniform);
-                    if let Some(b) = self.opts.finite_bounds.get(rv) {
-                        self.heap.set_region_bound(r, *b);
+                let specs = &prog.specs[*spec as usize..(*spec + *n) as usize];
+                let mut r0 = 0;
+                for (i, sp) in specs.iter().enumerate() {
+                    let r = self.heap.create_region_uniform(sp.kind, sp.uniform);
+                    if let Some(b) = sp.bound {
+                        self.heap.set_region_bound(r, b);
                     }
-                    regions.push(r);
-                    renv2 = renv_bind(&renv2, *rv, r);
+                    let ix = self.rb + *first as usize + i;
+                    self.regs[ix] = r;
+                    r0 = if i == 0 { r.0 } else { r0 };
                 }
                 if trace::enabled() {
-                    trace::instant(
-                        "letregion.enter",
-                        "eval",
-                        &[("regions", regions.len() as f64)],
-                    );
+                    trace::instant("letregion.enter", "eval", &[("regions", *n as f64)]);
                 }
-                self.kont.push(Frame::PopRegions { regions });
-                Ok(Ctrl::Eval(body, env, renv2))
+                self.kont.push(Frame::PopRegions { first: r0, n: *n });
+                Ok(Ctrl::Eval(*body))
             }
-            Term::Pair(a, b, at) => {
-                self.kont.push(Frame::PairSnd {
-                    snd: b,
-                    env: env.clone(),
-                    renv: renv.clone(),
+            Op::Sel(i, a) => self.push(Frame::Sel(*i), *a),
+            Op::Prim(op, _, 0, at) => ret(self.apply_prim(*op, &[], *at)?),
+            Op::Prim(_, args, ..) => self.push(
+                Frame::Prim {
+                    pc,
+                    n: 0,
+                    done: [0; 2],
+                },
+                args[0],
+            ),
+            Op::RefNew(a, at) => self.push(Frame::RefMk(*at), *a),
+            Op::Deref(a) => self.push(Frame::Deref, *a),
+            Op::Exn(name, Some(a), at) => self.push(
+                Frame::ExnMk {
+                    name: *name,
                     at: *at,
-                });
-                Ok(Ctrl::Eval(a, env, renv))
+                },
+                *a,
+            ),
+            Op::Exn(name, None, at) => {
+                let r = self.region(*at);
+                ret(self
+                    .heap
+                    .alloc(r, ObjKind::Exn, 2, &[name.index() as u64, 0]))
             }
-            Term::Sel(i, a) => {
-                self.kont.push(Frame::Sel(*i));
-                Ok(Ctrl::Eval(a, env, renv))
-            }
-            Term::If(c, t, f) => {
-                self.kont.push(Frame::IfBranch {
-                    t,
-                    f,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(c, env, renv))
-            }
-            Term::Prim(op, args, at) => {
-                let mut rest: Vec<&'a Term> = args.iter().collect();
-                rest.reverse();
-                match rest.pop() {
-                    None => {
-                        let w = self.apply_prim(*op, &[], *at, &renv)?;
-                        ret(w)
-                    }
-                    Some(first) => {
-                        self.kont.push(Frame::Prim {
-                            op: *op,
-                            at: *at,
-                            renv: renv.clone(),
-                            env: env.clone(),
-                            done: Vec::new(),
-                            rest,
-                        });
-                        Ok(Ctrl::Eval(first, env, renv))
-                    }
-                }
-            }
-            Term::Cons(h, t, at) => {
-                self.kont.push(Frame::ConsTail {
-                    tail: t,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                    at: *at,
-                });
-                Ok(Ctrl::Eval(h, env, renv))
-            }
-            Term::CaseList {
-                scrut,
-                nil_rhs,
-                head,
-                tail,
-                cons_rhs,
-            } => {
-                self.kont.push(Frame::Case {
-                    nil_rhs,
-                    head: *head,
-                    tail: *tail,
-                    cons_rhs,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(scrut, env, renv))
-            }
-            Term::RefNew(a, at) => {
-                self.kont.push(Frame::RefMk {
-                    at: *at,
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(a, env, renv))
-            }
-            Term::Deref(a) => {
-                self.kont.push(Frame::Deref);
-                Ok(Ctrl::Eval(a, env, renv))
-            }
-            Term::Assign(r, v) => {
-                self.kont.push(Frame::AssignRhs {
-                    rhs: v,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(r, env, renv))
-            }
-            Term::Exn { name, arg, at } => match arg {
-                None => {
-                    let r = self.region(&renv, *at)?;
-                    let w = self
-                        .heap
-                        .alloc(r, ObjKind::Exn, 2, &[name.index() as u64, 0]);
-                    ret(w)
-                }
-                Some(a) => {
-                    self.kont.push(Frame::ExnMk {
-                        name: *name,
-                        at: *at,
-                        renv: renv.clone(),
-                    });
-                    Ok(Ctrl::Eval(a, env, renv))
-                }
-            },
-            Term::Raise(a, _) => {
-                self.kont.push(Frame::RaiseDo);
-                Ok(Ctrl::Eval(a, env, renv))
-            }
-            Term::Handle {
-                body,
-                exn,
-                arg,
-                handler,
-            } => {
-                self.kont.push(Frame::Handle {
-                    exn: *exn,
-                    arg: *arg,
-                    handler,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(body, env, renv))
-            }
+            Op::Raise(a) => self.push(Frame::RaiseDo, *a),
         }
     }
 
-    /// Number of raw payload words of a closure for `id` (code id, region
-    /// slots).
-    fn raw_len(&self, id: CodeId) -> usize {
-        let e = &self.code.entries[id];
-        1 + e.rparams.len() + e.frvs.len()
+    /// Pushes `frame` and evaluates `next`.
+    fn push(&mut self, frame: Frame, next: Pc) -> MResult<Ctrl> {
+        self.kont.push(frame);
+        Ok(Ctrl::Eval(next))
     }
 
-    /// Allocates a closure for code `id` at region variable `at`:
+    /// Allocates a closure for `site`:
     /// `[code_id][rparam slots (sentinel)][frv slots][siblings…][captures…]`.
-    fn make_closure(
-        &mut self,
-        id: CodeId,
-        env: &Env,
-        renv: &REnv,
-        at: RegVar,
-        group_size: Option<usize>,
-    ) -> MResult<Word> {
-        let entry = &self.code.entries[id];
-        let mut payload: Vec<u64> =
-            Vec::with_capacity(1 + entry.rparams.len() + entry.frvs.len() + entry.fvs.len());
-        payload.push(id as u64);
-        for _ in &entry.rparams {
-            payload.push(u64::MAX); // filled at region application
-        }
-        let frvs = entry.frvs.clone();
-        let fvs = entry.fvs.clone();
-        let raw = (1 + entry.rparams.len() + entry.frvs.len()) as u16;
-        for rv in &frvs {
-            let r = self.region(renv, *rv)?;
-            payload.push(r.0 as u64);
-        }
-        for _ in 0..group_size.unwrap_or(0) {
-            payload.push(Word::UNIT.0); // sibling slots, patched after
-        }
-        for v in &fvs {
-            let w = env_lookup(env, *v)
-                .ok_or_else(|| RunError::Stuck(format!("unbound capture `{v}`")))?;
-            payload.push(w.0);
-        }
-        let r = self.region(renv, at)?;
-        Ok(self.heap.alloc(r, ObjKind::Closure, raw, &payload))
+    fn make_closure(&mut self, s: &Site) -> Word {
+        let c = &self.prog.codes[s.code];
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf.push(s.code as u64);
+        buf.resize(1 + c.rparams.len(), u64::MAX); // filled at region application
+        buf.extend(s.rcaps.iter().map(|r| self.region(*r).0 as u64));
+        buf.resize(c.raw() + c.k, Word::UNIT.0); // sibling slots, patched after
+        buf.extend(s.caps.iter().map(|v| self.vals[self.slot(*v)]));
+        let w = self
+            .heap
+            .alloc(self.region(s.at), ObjKind::Closure, c.raw() as u16, &buf);
+        self.buf = buf;
+        w
     }
 
     /// Enters a closure with an argument. When `inst` is given (the fused
     /// `(f [S]) arg` form), the closure's region parameters are resolved
-    /// from the instantiation against `caller_renv` instead of from the
-    /// closure's slots.
-    fn call(
-        &mut self,
-        clos: Word,
-        arg: Word,
-        inst: Option<&'a rml_core::Subst>,
-        caller_renv: &REnv,
-    ) -> MResult<Ctrl<'a>> {
+    /// from the instantiation against the caller's region slots instead
+    /// of from the closure's slots.
+    fn call(&mut self, clos: Word, arg: Word, inst: Option<u32>) -> MResult<Ctrl> {
         let id = self.field(clos, 0, "call")?.0 as usize;
-        let entry: &CodeEntry<'a> = self
-            .code
-            .entries
-            .get(id)
-            .ok_or_else(|| RunError::Stuck("bad code id".into()))?;
-        let body = entry.body;
-        let param = entry.param;
-        let rparams = entry.rparams.clone();
-        let frvs = entry.frvs.clone();
-        let fvs = entry.fvs.clone();
-        let group = entry.group.clone();
-        let raw = 1 + rparams.len() + frvs.len();
-        // Region bindings.
-        let mut renv: REnv = renv_bind(&None, self.opts.global, self.global_region);
-        for (i, rv) in rparams.iter().enumerate() {
-            let region = match inst {
-                Some(s) => {
-                    let target = s.reg.get(rv).copied().unwrap_or(*rv);
-                    self.region(caller_renv, target)?
-                }
-                None => {
-                    let raw_word = self.field_raw(clos, 1 + i)?;
-                    if raw_word == u64::MAX {
-                        return Err(RunError::Stuck(format!(
+        let Some(c) = self.prog.codes.get(id) else {
+            return stuck("bad code id");
+        };
+        let (p, f, raw) = (c.rparams.len(), c.frvs.len(), c.raw());
+        let mut rargs = std::mem::take(&mut self.rargs);
+        rargs.clear();
+        for (i, rv) in c.rparams.iter().enumerate() {
+            rargs.push(match inst {
+                Some(s) => self.inst_region(s, *rv)?,
+                None => match self.field_raw(clos, 1 + i)? {
+                    u64::MAX => {
+                        return stuck(format!(
                             "closure applied without region instantiation ({rv})"
-                        )));
+                        ))
                     }
-                    RegionId(raw_word as u32)
-                }
-            };
-            renv = renv_bind(&renv, *rv, region);
+                    r => RegionId(r as u32),
+                },
+            });
         }
-        for (i, rv) in frvs.iter().enumerate() {
-            let raw_word = self.field_raw(clos, 1 + rparams.len() + i)?;
-            renv = renv_bind(&renv, *rv, RegionId(raw_word as u32));
+        // A caller with no frames pending is finished: the callee's
+        // activation replaces it.
+        if self.acts.last().is_some_and(|a| a.base == self.kont.len()) {
+            self.acts.pop();
         }
-        // Value bindings: siblings then captures then the parameter.
-        let mut env: Env = None;
-        let nsib = group.as_ref().map(|g| g.members.len()).unwrap_or(0);
-        if let Some(g) = &group {
-            for (j, name) in g.names.iter().enumerate() {
-                let w = self.field(clos, raw + j, "sibling")?;
-                env = env_bind(&env, *name, w);
-            }
+        let (vlo, rlo) = self.acts.last().map_or((0, 0), |a| (a.vhi, a.rhi));
+        let (vb, rb) = (vlo + c.fvs.len(), rlo + f);
+        self.regs.truncate(rlo);
+        self.regs.resize(rb, RegionId(0));
+        for (j, i) in c.rperm.iter().enumerate() {
+            self.regs[rb - 1 - *i as usize] = RegionId(self.field_raw(clos, 1 + p + j)? as u32);
         }
-        for (i, v) in fvs.iter().enumerate() {
-            let w = self.field(clos, raw + nsib + i, "capture")?;
-            env = env_bind(&env, *v, w);
+        self.regs.extend_from_slice(&rargs);
+        self.regs.resize(rb + c.nregs, RegionId(0));
+        self.rargs = rargs;
+        self.vals.truncate(vlo);
+        self.vals.resize(vb, Word::UNIT.0);
+        for j in 0..c.k {
+            self.vals.push(self.field(clos, raw + j, "sibling")?.0);
         }
-        env = env_bind(&env, param, arg);
-        Ok(Ctrl::Eval(body, env, renv))
-    }
-
-    fn field_raw(&self, w: Word, i: usize) -> MResult<u64> {
-        self.heap
-            .field(w, i, "closure raw field")
-            .map(|x| x.0)
-            .or_else(|e| self.dangling(e))
+        for (j, i) in c.perm.iter().enumerate() {
+            self.vals[vb - 1 - *i as usize] = self.field(clos, raw + c.k + j, "capture")?.0;
+        }
+        self.vals.push(arg.0);
+        self.vals.resize(vb + c.nvals, Word::UNIT.0);
+        self.acts.push(Act {
+            code: id,
+            base: self.kont.len(),
+            vb,
+            vhi: vb + c.nvals,
+            rb,
+            rhi: rb + c.nregs,
+        });
+        (self.vb, self.rb) = (vb, rb);
+        Ok(Ctrl::Eval(c.body))
     }
 
     /// Region application: copy the closure, filling its region-parameter
     /// slots per the instantiation, at the target region.
-    fn rapp(
-        &mut self,
-        clos: Word,
-        inst: &rml_core::Subst,
-        at: RegVar,
-        renv: &REnv,
-    ) -> MResult<Word> {
+    fn rapp(&mut self, clos: Word, inst: u32, at: Slot) -> MResult<Word> {
         let id = self.field(clos, 0, "region application")?.0 as usize;
-        let entry = self
-            .code
-            .entries
-            .get(id)
-            .ok_or_else(|| RunError::Stuck("bad code id".into()))?;
-        let rparams = entry.rparams.clone();
-        let frvs_len = entry.frvs.len();
-        let nsib = entry.group.as_ref().map(|g| g.members.len()).unwrap_or(0);
-        let fvs_len = entry.fvs.len();
-        let raw = 1 + rparams.len() + frvs_len;
-        let total = raw + nsib + fvs_len;
-        let mut payload = Vec::with_capacity(total);
-        payload.push(id as u64);
-        for rv in &rparams {
-            let target = inst.reg.get(rv).copied().unwrap_or(*rv);
-            // Identity instantiation resolves the variable itself (bound
-            // in the current body's region environment).
-            let r = self.region(renv, target)?;
-            payload.push(r.0 as u64);
+        let Some(c) = self.prog.codes.get(id) else {
+            return stuck("bad code id");
+        };
+        let p = c.rparams.len();
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf.push(id as u64);
+        for rv in c.rparams.iter() {
+            buf.push(self.inst_region(inst, *rv)?.0 as u64);
         }
-        for i in 0..frvs_len + nsib + fvs_len {
-            payload.push(self.field_raw(clos, 1 + rparams.len() + i)?);
+        for i in 0..c.frvs.len() + c.k + c.fvs.len() {
+            buf.push(self.field_raw(clos, 1 + p + i)?);
         }
-        let r = self.region(renv, at)?;
-        Ok(self.heap.alloc(r, ObjKind::Closure, raw as u16, &payload))
+        let w = self
+            .heap
+            .alloc(self.region(at), ObjKind::Closure, c.raw() as u16, &buf);
+        self.buf = buf;
+        Ok(w)
     }
 
-    fn apply(&mut self, frame: Frame<'a>, w: Word) -> MResult<Ctrl<'a>> {
-        let ret = |w: Word| Ok(Ctrl::Ret(Cell::new(w.0)));
+    fn apply(&mut self, frame: Frame, w: Word) -> MResult<Ctrl> {
+        let ret = |w: Word| Ok(Ctrl::Ret(w.0));
         match frame {
-            Frame::AppArg {
-                arg,
-                env,
-                renv,
-                inst,
-            } => {
-                self.kont.push(Frame::AppCall {
-                    clos: Cell::new(w.0),
-                    inst,
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(arg, env, renv))
-            }
-            Frame::AppCall { clos, inst, renv } => self.call(Word(clos.get()), w, inst, &renv),
-            Frame::RApp { inst, at, renv } => {
-                let w2 = self.rapp(w, inst, at, &renv)?;
-                ret(w2)
-            }
-            Frame::LetBody { x, body, env, renv } => {
-                let env2 = env_bind(&env, x, w);
-                Ok(Ctrl::Eval(body, env2, renv))
-            }
-            Frame::PairSnd { snd, env, renv, at } => {
-                self.kont.push(Frame::PairMk {
-                    fst: Cell::new(w.0),
-                    at,
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(snd, env, renv))
-            }
-            Frame::PairMk { fst, at, renv } => {
-                let r = self.region(&renv, at)?;
-                ret(self.heap.alloc(r, ObjKind::Pair, 0, &[fst.get(), w.0]))
-            }
-            Frame::Sel(i) => {
-                let v = self.field(w, (i - 1) as usize, "projection")?;
-                ret(v)
-            }
-            Frame::IfBranch { t, f, env, renv } => match w.as_bool() {
-                Some(true) => Ok(Ctrl::Eval(t, env, renv)),
-                Some(false) => Ok(Ctrl::Eval(f, env, renv)),
-                None => Err(RunError::Stuck("if on non-boolean".into())),
-            },
-            Frame::Prim {
-                op,
-                at,
-                renv,
-                env,
-                mut done,
-                mut rest,
-            } => {
-                done.push(Cell::new(w.0));
-                match rest.pop() {
-                    Some(next) => {
-                        let renv2 = renv.clone();
-                        self.kont.push(Frame::Prim {
-                            op,
-                            at,
-                            renv,
-                            env: env.clone(),
-                            done,
-                            rest,
-                        });
-                        Ok(Ctrl::Eval(next, env, renv2))
-                    }
-                    None => {
-                        let args: Vec<Word> = done.iter().map(|c| Word(c.get())).collect();
-                        let out = self.apply_prim(op, &args, at, &renv)?;
-                        ret(out)
-                    }
+            Frame::Resume(pc) => self.resume_at(pc, w),
+            Frame::Prim { pc, n, mut done } => {
+                let Op::Prim(op, args, arity, at) = self.prog.nodes[pc as usize].op else {
+                    return stuck("malformed continuation");
+                };
+                done[n as usize] = w.0;
+                let n = n + 1;
+                if n < arity {
+                    self.kont.push(Frame::Prim { pc, n, done });
+                    return Ok(Ctrl::Eval(args[n as usize]));
                 }
+                let args = done.map(Word);
+                ret(self.apply_prim(op, &args[..n as usize], at)?)
             }
-            Frame::ConsTail {
-                tail,
-                env,
-                renv,
-                at,
-            } => {
-                self.kont.push(Frame::ConsMk {
-                    head: Cell::new(w.0),
-                    at,
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(tail, env, renv))
+            Frame::AppCall { clos, inst } => self.call(Word(clos), w, inst),
+            Frame::RApp { inst, at } => ret(self.rapp(w, inst, at)?),
+            Frame::PairMk { fst, at } => {
+                let r = self.region(at);
+                ret(self.heap.alloc(r, ObjKind::Pair, 0, &[fst, w.0]))
             }
-            Frame::ConsMk { head, at, renv } => {
-                let r = self.region(&renv, at)?;
-                ret(self.heap.alloc(r, ObjKind::Cons, 0, &[head.get(), w.0]))
+            Frame::ConsMk { head, at } => {
+                let r = self.region(at);
+                ret(self.heap.alloc(r, ObjKind::Cons, 0, &[head, w.0]))
             }
-            Frame::Case {
-                nil_rhs,
-                head,
-                tail,
-                cons_rhs,
-                env,
-                renv,
-            } => {
-                if w == Word::NIL {
-                    Ok(Ctrl::Eval(nil_rhs, env, renv))
-                } else {
-                    let h = self.field(w, 0, "case head")?;
-                    let t = self.field(w, 1, "case tail")?;
-                    let env2 = env_bind(&env_bind(&env, head, h), tail, t);
-                    Ok(Ctrl::Eval(cons_rhs, env2, renv))
-                }
-            }
-            Frame::RefMk { at, renv } => {
-                let r = self.region(&renv, at)?;
+            Frame::RefMk(at) => {
+                let r = self.region(at);
                 ret(self.heap.alloc(r, ObjKind::Ref, 0, &[w.0]))
             }
-            Frame::Deref => {
-                let v = self.field(w, 0, "dereference")?;
-                ret(v)
-            }
-            Frame::AssignRhs { rhs, env, renv } => {
-                self.kont.push(Frame::AssignDo {
-                    target: Cell::new(w.0),
-                });
-                Ok(Ctrl::Eval(rhs, env, renv))
-            }
-            Frame::AssignDo { target } => {
-                self.heap
-                    .set_field(Word(target.get()), 0, w, "assignment")
-                    .or_else(|e| self.dangling(e))?;
-                ret(Word::UNIT)
-            }
-            Frame::PopRegions { regions } => {
-                if trace::enabled() {
-                    trace::instant(
-                        "letregion.exit",
-                        "eval",
-                        &[("regions", regions.len() as f64)],
-                    );
-                }
-                for r in regions {
-                    self.heap.drop_region(r);
-                }
-                ret(w)
-            }
-            Frame::ExnMk { name, at, renv } => {
-                let r = self.region(&renv, at)?;
+            Frame::ExnMk { name, at } => {
+                let r = self.region(at);
                 ret(self
                     .heap
                     .alloc(r, ObjKind::Exn, 2, &[name.index() as u64, 0, w.0]))
             }
+            Frame::Sel(i) => ret(self.field(w, (i - 1) as usize, "projection")?),
+            Frame::Deref => ret(self.field(w, 0, "dereference")?),
+            Frame::AssignDo(target) => {
+                self.set_field(Word(target), 0, w, "assignment")?;
+                ret(Word::UNIT)
+            }
             Frame::RaiseDo => self.unwind(w),
-            Frame::Handle { .. } => {
-                // Body finished normally; drop the handler.
+            Frame::PopRegions { first, n } => {
+                if trace::enabled() {
+                    trace::instant("letregion.exit", "eval", &[("regions", n as f64)]);
+                }
+                self.drop_regions(first, n);
                 ret(w)
             }
         }
     }
 
+    /// Continues node `pc` of the current body once its first subterm has
+    /// produced `w`.
+    fn resume_at(&mut self, pc: Pc, w: Word) -> MResult<Ctrl> {
+        match self.prog.nodes[pc as usize].op {
+            Op::App(_, arg, inst) => self.push(Frame::AppCall { clos: w.0, inst }, arg),
+            Op::Pair(_, b, at) => self.push(Frame::PairMk { fst: w.0, at }, b),
+            Op::Cons(_, t, at) => self.push(Frame::ConsMk { head: w.0, at }, t),
+            Op::Assign(_, rhs) => self.push(Frame::AssignDo(w.0), rhs),
+            Op::Let(_, x, body) => {
+                let ix = self.slot(x);
+                self.vals[ix] = w.0;
+                Ok(Ctrl::Eval(body))
+            }
+            Op::If(_, t, f) => match w.as_bool() {
+                Some(true) => Ok(Ctrl::Eval(t)),
+                Some(false) => Ok(Ctrl::Eval(f)),
+                None => stuck("if on non-boolean"),
+            },
+            Op::Case(_, nil, head, cons) => {
+                if w == Word::NIL {
+                    return Ok(Ctrl::Eval(nil));
+                }
+                let h = self.field(w, 0, "case head")?;
+                let t = self.field(w, 1, "case tail")?;
+                let ix = self.slot(head);
+                (self.vals[ix], self.vals[ix + 1]) = (h.0, t.0);
+                Ok(Ctrl::Eval(cons))
+            }
+            // Body finished normally; drop the handler.
+            Op::Handle(..) => Ok(Ctrl::Ret(w.0)),
+            _ => stuck("malformed continuation"),
+        }
+    }
+
+    fn drop_regions(&mut self, first: u32, n: u32) {
+        for r in first..first + n {
+            self.heap.drop_region(RegionId(r));
+        }
+    }
+
     /// Unwinds the continuation with a raised exception value.
-    fn unwind(&mut self, exn_val: Word) -> MResult<Ctrl<'a>> {
+    fn unwind(&mut self, exn_val: Word) -> MResult<Ctrl> {
         let name_idx = self.field_raw(exn_val, 0)? as u32;
         let name = Symbol::from_index(name_idx);
         while let Some(frame) = self.kont.pop() {
             match frame {
-                Frame::PopRegions { regions } => {
-                    for r in regions {
-                        self.heap.drop_region(r);
-                    }
-                }
-                Frame::Handle {
-                    exn,
-                    arg,
-                    handler,
-                    env,
-                    renv,
-                } if exn == name => {
-                    let header = self
-                        .heap
-                        .header(exn_val, "exception match")
-                        .or_else(|e| self.dangling(e))?;
+                Frame::PopRegions { first, n } => self.drop_regions(first, n),
+                Frame::Resume(pc) => {
+                    let (arg, handler) = match self.prog.nodes[pc as usize].op {
+                        Op::Handle(_, exn, arg, handler) if exn == name => (arg, handler),
+                        _ => continue,
+                    };
+                    self.resume();
+                    let header = self.header(exn_val, "exception match")?;
                     let bound = if header.len > 2 {
                         self.field(exn_val, 2, "exception argument")?
                     } else {
                         Word::UNIT
                     };
-                    let env2 = env_bind(&env, arg, bound);
-                    return Ok(Ctrl::Eval(handler, env2, renv));
+                    let ix = self.slot(arg);
+                    self.vals[ix] = bound.0;
+                    return Ok(Ctrl::Eval(handler));
                 }
                 _ => {}
             }
@@ -1280,19 +1025,13 @@ impl<'a> Machine<'a> {
         Err(RunError::Uncaught(printable))
     }
 
-    fn apply_prim(
-        &mut self,
-        op: PrimOp,
-        args: &[Word],
-        at: Option<RegVar>,
-        renv: &REnv,
-    ) -> MResult<Word> {
+    fn apply_prim(&mut self, op: PrimOp, args: &[Word], at: Option<Slot>) -> MResult<Word> {
         use PrimOp::*;
         let int = |w: Word| -> MResult<i64> {
             if w.is_int() {
                 Ok(w.as_int())
             } else {
-                Err(RunError::Stuck(format!("`{op}` on non-int")))
+                stuck(format!("`{op}` on non-int"))
             }
         };
         Ok(match op {
@@ -1322,39 +1061,31 @@ impl<'a> Machine<'a> {
             Ne => Word::bool(!self.value_eq(args[0], args[1])?),
             Not => match args[0].as_bool() {
                 Some(b) => Word::bool(!b),
-                None => return Err(RunError::Stuck("`not` on non-bool".into())),
+                None => return stuck("`not` on non-bool"),
             },
             Concat => {
-                let a = self
-                    .heap
-                    .read_str(args[0], "string concat")
-                    .or_else(|e| self.dangling(e))?;
-                let b = self
-                    .heap
-                    .read_str(args[1], "string concat")
-                    .or_else(|e| self.dangling(e))?;
-                let rv = at.ok_or_else(|| RunError::Stuck("`^` without region".into()))?;
-                let r = self.region(renv, rv)?;
+                let a = self.read_str(args[0], "string concat")?;
+                let b = self.read_str(args[1], "string concat")?;
+                let Some(rv) = at else {
+                    return stuck("`^` without region");
+                };
+                let r = self.region(rv);
                 self.heap.alloc_str(r, &(a + &b))
             }
             Size => {
-                let h = self
-                    .heap
-                    .header(args[0], "size")
-                    .or_else(|e| self.dangling(e))?;
+                let h = self.header(args[0], "size")?;
                 Word::int(h.len as i64)
             }
             Itos => {
                 let n = int(args[0])?;
-                let rv = at.ok_or_else(|| RunError::Stuck("`itos` without region".into()))?;
-                let r = self.region(renv, rv)?;
+                let Some(rv) = at else {
+                    return stuck("`itos` without region");
+                };
+                let r = self.region(rv);
                 self.heap.alloc_str(r, &n.to_string())
             }
             Print => {
-                let s = self
-                    .heap
-                    .read_str(args[0], "print")
-                    .or_else(|e| self.dangling(e))?;
+                let s = self.read_str(args[0], "print")?;
                 self.output.push_str(&s);
                 Word::UNIT
             }
@@ -1364,7 +1095,6 @@ impl<'a> Machine<'a> {
             }
         })
     }
-
     /// Structural equality over heap values.
     fn value_eq(&self, a: Word, b: Word) -> MResult<bool> {
         if a == b {
@@ -1373,26 +1103,13 @@ impl<'a> Machine<'a> {
         if !a.is_pointer() || !b.is_pointer() {
             return Ok(false);
         }
-        let ha = self
-            .heap
-            .header(a, "equality")
-            .or_else(|e| self.dangling(e))?;
-        let hb = self
-            .heap
-            .header(b, "equality")
-            .or_else(|e| self.dangling(e))?;
+        let ha = self.header(a, "equality")?;
+        let hb = self.header(b, "equality")?;
         if ha.kind != hb.kind {
             return Ok(false);
         }
         match ha.kind {
-            ObjKind::Str => Ok(self
-                .heap
-                .read_str(a, "equality")
-                .or_else(|e| self.dangling(e))?
-                == self
-                    .heap
-                    .read_str(b, "equality")
-                    .or_else(|e| self.dangling(e))?),
+            ObjKind::Str => Ok(self.read_str(a, "equality")? == self.read_str(b, "equality")?),
             ObjKind::Pair | ObjKind::Cons => Ok(self
                 .value_eq(self.field(a, 0, "equality")?, self.field(b, 0, "equality")?)?
                 && self.value_eq(self.field(a, 1, "equality")?, self.field(b, 1, "equality")?)?),

@@ -1,5 +1,6 @@
-//! Tests for the closure-layout pre-pass (free variables, free region
-//! variables, group structure) via observable machine behaviour.
+//! Tests for the closure layout the lowering computes (free variables,
+//! free region variables, group structure) via observable machine
+//! behaviour.
 
 use rml_eval::{run, RunOpts, RunValue};
 use rml_infer::{infer, Options, Strategy};

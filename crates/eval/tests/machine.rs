@@ -249,3 +249,46 @@ fn results_decode_structures() {
         )
     );
 }
+
+/// Root precision: a binding whose scope has ended is not a root. In
+/// baseline mode every object sits in the one collected region, so a
+/// stale slot still holding a dead string would be copied by the forced
+/// collections. The string `s` is out of scope at each `forcegc`: `f`
+/// reaches it through a tail call; in `g` the caller is still pending, but
+/// only to build a pair; in `h` a sibling `let` reuses the slots of the
+/// scope that bound `s`, and its right-hand side runs with `s`'s slot
+/// still written. The same program without the bindings must copy exactly
+/// as many bytes.
+#[test]
+fn out_of_scope_bindings_are_not_roots() {
+    let prog = |f: &str, g: &str, h: &str| {
+        format!(
+            "fun pad n = if n = 0 then \"\" else \"xxxxxxxx\" ^ pad (n - 1) \
+             fun collect n = let val u = forcegc () in n end \
+             fun f n = {f} \
+             fun g n = #1 ({g}, collect n) \
+             fun h n = let val a = {h} \
+                           val u = forcegc () \
+                       in a end \
+             fun main () = f 1 + g 1 + h 2"
+        )
+    };
+    let copied = |src: &str| {
+        let out = compile(src, Strategy::Rg);
+        let res = run(&out.term, &RunOpts::baseline(out.global)).unwrap();
+        assert_eq!(res.value, RunValue::Int(3 * 64 * 8 + 2));
+        assert_eq!(res.stats.gc_count, 3, "one forced collection each");
+        res.stats.bytes_copied
+    };
+    let with = copied(&prog(
+        "let val s = pad 64 in collect (size s) end",
+        "(let val s = pad 64 in size s end)",
+        "(let val p = n val s = pad 64 in size s + p end)",
+    ));
+    let without = copied(&prog(
+        "collect (size (pad 64))",
+        "size (pad 64)",
+        "size (pad 64) + n",
+    ));
+    assert_eq!(with, without, "a dead binding was traced");
+}

@@ -170,7 +170,11 @@ impl Heap {
         for p in pages {
             self.release_page(p);
         }
-        self.live_regions.retain(|x| *x != r);
+        // Regions die LIFO, so the search from the back is O(1) in
+        // practice; `remove` keeps the creation order.
+        if let Some(i) = self.live_regions.iter().rposition(|x| *x == r) {
+            self.live_regions.remove(i);
+        }
     }
 
     pub(crate) fn release_page(&mut self, p: u32) {
