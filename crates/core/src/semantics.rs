@@ -10,6 +10,10 @@
 //! such a refusal is precisely a *dangling pointer* at the level of the
 //! formal semantics.
 //!
+//! Integers are 61-bit two's complement, as in the heap machine (whose
+//! words spend three bits on a tag): literals and every arithmetic result
+//! wrap to that width.
+//!
 //! The [`Machine`] optionally runs the containment monitor of Theorem 2
 //! after every step: for well-typed terms, `φ |=c e` is preserved, which
 //! is the property a reference-tracing garbage collector relies on.
@@ -22,6 +26,11 @@ use crate::vars::RegVar;
 use rml_syntax::ast::PrimOp;
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// Wraps `n` to 61-bit two's complement.
+fn wrap_int(n: i64) -> i64 {
+    (n << 3) >> 3
+}
 
 /// An error during evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,7 +224,7 @@ impl Machine {
         use Step::*;
         match e {
             Term::Val(v) => Ok(IsValue(v)),
-            Term::Int(n) => Ok(Reduced(Term::Val(Value::Int(n)))),
+            Term::Int(n) => Ok(Reduced(Term::Val(Value::Int(wrap_int(n))))),
             Term::Bool(b) => Ok(Reduced(Term::Val(Value::Bool(b)))),
             Term::Unit => Ok(Reduced(Term::Val(Value::Unit))),
             Term::Nil(mu) => Ok(Reduced(Term::Val(Value::NilV(mu)))),
@@ -587,25 +596,26 @@ impl Machine {
                 _ => Err(EvalError::Stuck(format!("`{op}` on a non-string"))),
             }
         };
+        let arith = |n: i64| Value::Int(wrap_int(n));
         Ok(match op {
-            Add => Value::Int(int(&vals[0])?.wrapping_add(int(&vals[1])?)),
-            Sub => Value::Int(int(&vals[0])?.wrapping_sub(int(&vals[1])?)),
-            Mul => Value::Int(int(&vals[0])?.wrapping_mul(int(&vals[1])?)),
+            Add => arith(int(&vals[0])?.wrapping_add(int(&vals[1])?)),
+            Sub => arith(int(&vals[0])?.wrapping_sub(int(&vals[1])?)),
+            Mul => arith(int(&vals[0])?.wrapping_mul(int(&vals[1])?)),
             Div => {
                 let d = int(&vals[1])?;
                 if d == 0 {
                     return Err(EvalError::DivByZero);
                 }
-                Value::Int(int(&vals[0])?.wrapping_div(d))
+                arith(int(&vals[0])?.wrapping_div(d))
             }
             Mod => {
                 let d = int(&vals[1])?;
                 if d == 0 {
                     return Err(EvalError::DivByZero);
                 }
-                Value::Int(int(&vals[0])?.wrapping_rem(d))
+                arith(int(&vals[0])?.wrapping_rem(d))
             }
-            Neg => Value::Int(int(&vals[0])?.wrapping_neg()),
+            Neg => arith(int(&vals[0])?.wrapping_neg()),
             Lt => Value::Bool(int(&vals[0])? < int(&vals[1])?),
             Le => Value::Bool(int(&vals[0])? <= int(&vals[1])?),
             Gt => Value::Bool(int(&vals[0])? > int(&vals[1])?),

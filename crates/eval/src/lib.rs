@@ -14,18 +14,19 @@
 //!   scope), so collection can happen between any two machine steps,
 //! * `letregion` pushes and pops regions on the region stack;
 //!   deallocation poisons pages so stale pointers are detected,
-//! * a baseline mode ([`RunOpts::baseline`]) ignores regions entirely and
+//! * a baseline mode ([`ExecOpts::baseline`]) ignores regions entirely and
 //!   runs on a single collected heap — the stand-in for a conventional
 //!   tracing-GC compiler in the benchmark comparisons.
 //!
 //! # Example
 //!
 //! ```
-//! use rml_eval::{run, RunOpts, RunValue};
+//! use rml_eval::{run, ExecOpts, RunValue};
 //! let prog = rml_syntax::parse_program("fun main () = 21 + 21").unwrap();
 //! let typed = rml_hm::infer_program(&prog).unwrap();
 //! let out = rml_infer::infer(&typed, Default::default()).unwrap();
-//! let res = run(&out.term, &RunOpts::new(out.global)).unwrap();
+//! let repr = rml_repr::analyze(&out.term);
+//! let res = run(&out.term, out.global, &repr, &ExecOpts::default()).unwrap();
 //! assert_eq!(res.value, RunValue::Int(42));
 //! ```
 
@@ -39,4 +40,4 @@ mod lower;
 mod machine;
 
 pub use decode::RunValue;
-pub use machine::{run, GcPolicy, RunError, RunOpts, RunOutcome, StressSchedule, VerifyLevel};
+pub use machine::{run, ExecOpts, GcPolicy, RunError, RunOutcome, StressSchedule, VerifyLevel};

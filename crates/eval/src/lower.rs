@@ -9,8 +9,8 @@
 //!   captures, the siblings and the first [`Node::depth`] locals.
 //! * Every lambda and `fun` member gets a code id; closure-creating nodes
 //!   carry the code id and the slots their captures are read from.
-//! * `letregion` binders carry their region kind, representation and
-//!   multiplicity bound, resolved from the [`RunOpts`] once.
+//! * `letregion` binders carry their multiplicity bound and
+//!   representation, looked up in the [`ReprInfo`] once.
 //!
 //! Activation layout (offsets from the activation base):
 //!
@@ -23,11 +23,11 @@
 //! ([`Code::perm`] maps the closure's sorted capture order onto them), so
 //! a body is lowered before its capture count is known.
 
-use crate::machine::RunOpts;
 use rml_core::terms::{FixDef, Term};
 use rml_core::vars::RegVar;
 use rml_core::Subst;
-use rml_runtime::{RegionKind, UniformKind};
+use rml_repr::ReprInfo;
+use rml_runtime::UniformKind;
 use rml_syntax::ast::PrimOp;
 use rml_syntax::Symbol;
 use std::collections::HashMap;
@@ -132,11 +132,11 @@ pub struct Site {
     pub rcaps: Box<[Slot]>,
 }
 
-/// A `letregion` binder's region, resolved against the run options.
+/// A `letregion` binder's region: finite with a multiplicity bound, or
+/// infinite (`None`); untagged when `uniform` is set.
 pub struct RegionSpec {
-    pub kind: RegionKind,
-    pub uniform: Option<UniformKind>,
     pub bound: Option<u64>,
+    pub uniform: Option<UniformKind>,
 }
 
 /// A lowered program.
@@ -172,7 +172,8 @@ struct Fun {
 
 struct Lower<'t> {
     prog: Program,
-    opts: &'t RunOpts,
+    repr: &'t ReprInfo,
+    tag_free: bool,
     vals: Vec<(Symbol, Slot)>,
     regs: Vec<(RegVar, Slot)>,
     cur: Fun,
@@ -180,20 +181,22 @@ struct Lower<'t> {
     groups: HashMap<*const Vec<FixDef>, CodeId>,
 }
 
-/// Lowers a program against the run options.
-pub fn lower(term: &Term, opts: &RunOpts) -> Program {
+/// Lowers a program whose global region variable is `global`; untagged
+/// regions are used only when `tag_free`.
+pub fn lower(term: &Term, global: RegVar, repr: &ReprInfo, tag_free: bool) -> Program {
     let mut l = Lower {
         prog: Program::default(),
-        opts,
+        repr,
+        tag_free,
         vals: Vec::new(),
         regs: Vec::new(),
         cur: Fun::default(),
         outer: Vec::new(),
         groups: HashMap::new(),
     };
-    l.open(&[], None, &[opts.global]);
+    l.open(&[], None, &[global]);
     let body = l.expr(term);
-    l.prog.main = l.close(body, Box::new([opts.global]));
+    l.prog.main = l.close(body, Box::new([global]));
     l.prog
 }
 
@@ -402,15 +405,9 @@ impl Lower<'_> {
             Term::Letregion { rvars, body, .. } => {
                 let (spec, first) = (self.prog.specs.len() as u32, self.cur.rdepth);
                 for rv in rvars {
-                    let o = self.opts;
                     self.prog.specs.push(RegionSpec {
-                        kind: if o.finite.contains(rv) {
-                            RegionKind::Finite
-                        } else {
-                            RegionKind::Infinite
-                        },
-                        uniform: o.uniform.get(rv).copied(),
-                        bound: o.finite_bounds.get(rv).copied(),
+                        bound: self.repr.finite.get(rv).copied(),
+                        uniform: self.repr.uniform.get(rv).filter(|_| self.tag_free).copied(),
                     });
                     self.regs.push((*rv, self.cur.rdepth as Slot));
                     self.cur.rdepth += 1;

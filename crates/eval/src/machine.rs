@@ -10,11 +10,11 @@
 use crate::decode::RunValue;
 use crate::lower::{Code, Op, Pc, Program, Site, Slot};
 use rml_core::vars::RegVar;
-use rml_runtime::{GcError, GcPause, Heap, ObjKind, RegionId, RegionKind, UniformKind, Word};
+use rml_repr::ReprInfo;
+use rml_runtime::{GcError, GcPause, Heap, ObjKind, RegionId, RegionKind, Word};
 use rml_session::trace;
 use rml_syntax::ast::PrimOp;
 use rml_syntax::Symbol;
-use std::collections::HashSet;
 
 /// A deterministic adversarial collection schedule (the torture rig).
 ///
@@ -112,22 +112,19 @@ pub enum VerifyLevel {
     EveryStep,
 }
 
-/// Run options.
-#[derive(Debug, Clone)]
-pub struct RunOpts {
-    /// The global region variable (from `rml_infer::Output::global`).
-    pub global: RegVar,
-    /// Collection policy.
-    pub gc: GcPolicy,
-    /// Region variables whose regions the multiplicity analysis proved
-    /// finite (never collected; from `rml-repr`).
-    pub finite: HashSet<RegVar>,
-    /// Region variables whose regions are kind-homogeneous and eligible
-    /// for the untagged (header-less) representation (from `rml-repr`).
-    pub uniform: std::collections::HashMap<RegVar, UniformKind>,
+/// Run options: the knobs a user sets. The program itself — its term,
+/// global region and region representations — is passed to [`run`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOpts {
+    /// Collection policy; `None` is [`GcPolicy::default_on`] (the `rml`
+    /// facade picks `Off` for strategy `r`).
+    pub gc: Option<GcPolicy>,
     /// Ignore all regions and run on one collected heap (the conventional
     /// tracing-GC baseline, standing in for MLton).
     pub baseline: bool,
+    /// Use the partly tag-free (untagged pairs/refs/cons) representation
+    /// for kind-homogeneous regions (paper Section 6).
+    pub tag_free: bool,
     /// Step limit.
     pub fuel: u64,
     /// Fault injection: fail with [`RunError::OutOfMemory`] once this many
@@ -136,35 +133,21 @@ pub struct RunOpts {
     /// Fault injection: fail with [`RunError::DepthLimit`] when the
     /// continuation stack exceeds this many frames.
     pub depth_limit: Option<usize>,
-    /// Heap-invariant verification cadence.
-    pub verify: VerifyLevel,
-    /// Static multiplicity bounds for finite region variables (from
-    /// `rml-repr`); enforced by the heap verifier.
-    pub finite_bounds: std::collections::HashMap<RegVar, u64>,
+    /// Heap-invariant verification cadence; `None` is
+    /// [`VerifyLevel::AfterGc`] under stress schedules, `Off` otherwise.
+    pub verify: Option<VerifyLevel>,
 }
 
-impl RunOpts {
-    /// Default options with GC on.
-    pub fn new(global: RegVar) -> RunOpts {
-        RunOpts {
-            global,
-            gc: GcPolicy::default_on(),
-            finite: HashSet::new(),
-            uniform: Default::default(),
+impl Default for ExecOpts {
+    fn default() -> ExecOpts {
+        ExecOpts {
+            gc: None,
             baseline: false,
+            tag_free: true,
             fuel: u64::MAX,
             alloc_budget: None,
             depth_limit: None,
-            verify: VerifyLevel::Off,
-            finite_bounds: Default::default(),
-        }
-    }
-
-    /// Baseline (regionless) options.
-    pub fn baseline(global: RegVar) -> RunOpts {
-        RunOpts {
-            baseline: true,
-            ..RunOpts::new(global)
+            verify: None,
         }
     }
 }
@@ -332,7 +315,9 @@ struct Act {
 
 struct Machine<'a> {
     prog: &'a Program,
-    opts: &'a RunOpts,
+    opts: &'a ExecOpts,
+    gc: GcPolicy,
+    verify: VerifyLevel,
     heap: Heap,
     kont: Vec<Frame>,
     acts: Vec<Act>,
@@ -361,18 +346,30 @@ type MResult<T> = Result<T, RunError>;
 /// Sentinel code id of the program body's activation.
 const MAIN: usize = usize::MAX;
 
-/// Runs a region-annotated program.
+/// Runs a region-annotated program whose global region variable is
+/// `global`; `repr` says which `letregion` regions are finite or
+/// untagged.
 ///
 /// # Errors
 ///
 /// See [`RunError`]; in particular [`RunError::Dangling`] reports a
 /// dangling pointer met by the mutator or the collector.
-pub fn run(term: &rml_core::Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
-    let prog = crate::lower::lower(term, opts);
+pub fn run(
+    term: &rml_core::Term,
+    global: RegVar,
+    repr: &ReprInfo,
+    opts: &ExecOpts,
+) -> Result<RunOutcome, RunError> {
+    let prog = crate::lower::lower(term, global, repr, opts.tag_free);
+    let gc = opts.gc.unwrap_or_else(GcPolicy::default_on);
+    let verify = opts.verify.unwrap_or(match gc {
+        GcPolicy::Stress(_) => VerifyLevel::AfterGc,
+        _ => VerifyLevel::Off,
+    });
     let mut heap = Heap::new();
-    heap.generational = opts.gc.generational();
+    heap.generational = gc.generational();
     let global_region = heap.create_region(RegionKind::Infinite);
-    let seed = match opts.gc {
+    let seed = match gc {
         GcPolicy::Stress(s) => s.seed,
         _ => 0,
     };
@@ -388,6 +385,8 @@ pub fn run(term: &rml_core::Term, opts: &RunOpts) -> Result<RunOutcome, RunError
     let mut m = Machine {
         prog: &prog,
         opts,
+        gc,
+        verify,
         heap,
         kont: Vec::new(),
         acts: vec![Act {
@@ -573,7 +572,7 @@ impl Machine<'_> {
     /// collections demanded by a stress schedule or `forcegc` rather than
     /// the allocation heuristic.
     fn gc_decision(&mut self) -> Option<(bool, bool)> {
-        match self.opts.gc {
+        match self.gc {
             GcPolicy::Off => None,
             GcPolicy::On {
                 min_bytes,
@@ -646,7 +645,7 @@ impl Machine<'_> {
 
     fn maybe_collect(&mut self, ctrl: &mut Ctrl) -> MResult<()> {
         let decision = self.gc_decision();
-        let verify_now = match self.opts.verify {
+        let verify_now = match self.verify {
             VerifyLevel::Off => false,
             VerifyLevel::AfterGc => decision.is_some(),
             VerifyLevel::EveryStep => true,
@@ -746,7 +745,11 @@ impl Machine<'_> {
                 let specs = &prog.specs[*spec as usize..(*spec + *n) as usize];
                 let mut r0 = 0;
                 for (i, sp) in specs.iter().enumerate() {
-                    let r = self.heap.create_region_uniform(sp.kind, sp.uniform);
+                    let kind = match sp.bound {
+                        Some(_) => RegionKind::Finite,
+                        None => RegionKind::Infinite,
+                    };
+                    let r = self.heap.create_region_uniform(kind, sp.uniform);
                     if let Some(b) = sp.bound {
                         self.heap.set_region_bound(r, b);
                     }

@@ -2,21 +2,15 @@
 //! free region variables, group structure) via observable machine
 //! behaviour.
 
-use rml_eval::{run, RunOpts, RunValue};
-use rml_infer::{infer, Options, Strategy};
+mod common;
+
+use common::{compile, exec};
+use rml_eval::{ExecOpts, RunValue};
+use rml_infer::Strategy;
 
 fn go(src: &str) -> RunValue {
-    let prog = rml_syntax::parse_program(src).unwrap();
-    let typed = rml_hm::infer_program(&prog).unwrap();
-    let out = infer(
-        &typed,
-        Options {
-            strategy: Strategy::Rg,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    run(&out.term, &RunOpts::new(out.global)).unwrap().value
+    let out = compile(src, Strategy::Rg);
+    exec(&out, &ExecOpts::default()).unwrap().value
 }
 
 #[test]
@@ -89,23 +83,16 @@ fn deep_recursion_is_iterative_not_stack_bound() {
 
 #[test]
 fn letregion_inside_loop_reuses_pages() {
-    let prog = rml_syntax::parse_program(
+    let out = compile(
         "fun go n = if n = 0 then 0 else go (let val p = (n, n) in #1 p - 1 end) \
          fun main () = go 5000",
-    )
-    .unwrap();
-    let typed = rml_hm::infer_program(&prog).unwrap();
-    let out = infer(
-        &typed,
-        Options {
-            strategy: Strategy::R,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut opts = RunOpts::new(out.global);
-    opts.gc = rml_eval::GcPolicy::Off;
-    let res = run(&out.term, &opts).unwrap();
+        Strategy::R,
+    );
+    let opts = ExecOpts {
+        gc: Some(rml_eval::GcPolicy::Off),
+        ..ExecOpts::default()
+    };
+    let res = exec(&out, &opts).unwrap();
     assert_eq!(res.value, RunValue::Int(0));
     // Thousands of regions created, but pages recycled: small peak.
     assert!(res.stats.regions_created > 5000);

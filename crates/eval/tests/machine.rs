@@ -1,32 +1,32 @@
 //! End-to-end machine tests: source → pipeline → heap execution, with and
 //! without the tracing collector.
 
-use rml_eval::{run, GcPolicy, RunError, RunOpts, RunValue};
-use rml_infer::{infer, Options, Strategy};
+mod common;
 
-fn compile(src: &str, strategy: Strategy) -> rml_infer::Output {
-    let prog = rml_syntax::parse_program(src).unwrap();
-    let typed = rml_hm::infer_program(&prog).unwrap();
-    infer(
-        &typed,
-        Options {
-            strategy,
-            ..Options::default()
-        },
-    )
-    .unwrap()
+use common::{compile, exec};
+use rml_eval::{ExecOpts, GcPolicy, RunError, RunValue};
+use rml_infer::Strategy;
+
+/// The regionless baseline machine.
+fn baseline() -> ExecOpts {
+    ExecOpts {
+        baseline: true,
+        ..ExecOpts::default()
+    }
 }
 
 fn run_rg(src: &str) -> RunValue {
     let out = compile(src, Strategy::Rg);
     // Aggressive collection to stress the collector.
-    let mut opts = RunOpts::new(out.global);
-    opts.gc = GcPolicy::On {
-        min_bytes: 512,
-        ratio: 1.1,
-        generational: false,
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::On {
+            min_bytes: 512,
+            ratio: 1.1,
+            generational: false,
+        }),
+        ..ExecOpts::default()
     };
-    run(&out.term, &opts).expect("run failed").value
+    exec(&out, &opts).expect("run failed").value
 }
 
 #[test]
@@ -114,14 +114,14 @@ fn exceptions_unwind_regions() {
 #[test]
 fn uncaught_exception_is_reported() {
     let out = compile("exception Boom fun main () = raise Boom", Strategy::Rg);
-    let err = run(&out.term, &RunOpts::new(out.global)).unwrap_err();
+    let err = exec(&out, &ExecOpts::default()).unwrap_err();
     assert!(matches!(err, RunError::Uncaught(n) if n == "Boom"));
 }
 
 #[test]
 fn print_output_is_captured() {
     let out = compile("fun main () = (print \"a\"; print \"b\"; 0)", Strategy::Rg);
-    let res = run(&out.term, &RunOpts::new(out.global)).unwrap();
+    let res = exec(&out, &ExecOpts::default()).unwrap();
     assert_eq!(res.output, "ab");
 }
 
@@ -136,7 +136,7 @@ fun main () = run ()";
 fn figure1_rg_runs_with_forced_gc() {
     // The paper's Figure 1: under rg the forced collection is safe.
     let out = compile(FIGURE1, Strategy::Rg);
-    let res = run(&out.term, &RunOpts::new(out.global)).unwrap();
+    let res = exec(&out, &ExecOpts::default()).unwrap();
     assert_eq!(res.value, RunValue::Unit);
     assert!(res.stats.gc_count >= 1, "forcegc must trigger a collection");
 }
@@ -145,16 +145,18 @@ fn figure1_rg_runs_with_forced_gc() {
 fn figure1_rgminus_crashes_the_collector() {
     // Under rg- the collector traces the dangling pointer left in `h`.
     let out = compile(FIGURE1, Strategy::RgMinus);
-    let err = run(&out.term, &RunOpts::new(out.global)).unwrap_err();
+    let err = exec(&out, &ExecOpts::default()).unwrap_err();
     assert!(matches!(err, RunError::Dangling(_)), "got {err:?}");
 }
 
 #[test]
 fn figure1_r_mode_runs_without_gc() {
     let out = compile(FIGURE1, Strategy::R);
-    let mut opts = RunOpts::new(out.global);
-    opts.gc = GcPolicy::Off;
-    let res = run(&out.term, &opts).unwrap();
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::Off),
+        ..ExecOpts::default()
+    };
+    let res = exec(&out, &opts).unwrap();
     assert_eq!(res.value, RunValue::Unit);
     assert_eq!(res.stats.gc_count, 0);
 }
@@ -165,7 +167,7 @@ fn baseline_mode_ignores_regions() {
                fun sum xs = case xs of nil => 0 | h :: t => h + sum t \
                fun main () = sum (upto 500)";
     let out = compile(src, Strategy::Rg);
-    let res = run(&out.term, &RunOpts::baseline(out.global)).unwrap();
+    let res = exec(&out, &baseline()).unwrap();
     assert_eq!(res.value, RunValue::Int(125250));
     assert_eq!(res.stats.regions_created, 1, "baseline uses one region");
 }
@@ -180,9 +182,11 @@ fn regions_bound_memory_without_gc() {
                  go (let val p = (n, (n, n)) in #1 p - 1 end) \
                fun main () = go 20000";
     let out = compile(src, Strategy::R);
-    let mut opts = RunOpts::new(out.global);
-    opts.gc = GcPolicy::Off;
-    let res = run(&out.term, &opts).unwrap();
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::Off),
+        ..ExecOpts::default()
+    };
+    let res = exec(&out, &opts).unwrap();
     assert_eq!(res.value, RunValue::Int(0));
     assert!(
         res.stats.peak_live_words < 200_000,
@@ -198,13 +202,15 @@ fn gc_bounds_memory_for_region_unfriendly_code() {
     let src = "fun build n acc = if n = 0 then acc else build (n - 1) ((n, n) :: nil) \
                fun main () = case build 30000 nil of nil => 0 | h :: t => #1 h";
     let out = compile(src, Strategy::Rg);
-    let mut opts = RunOpts::new(out.global);
-    opts.gc = GcPolicy::On {
-        min_bytes: 8 * 1024,
-        ratio: 1.2,
-        generational: false,
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::On {
+            min_bytes: 8 * 1024,
+            ratio: 1.2,
+            generational: false,
+        }),
+        ..ExecOpts::default()
     };
-    let res = run(&out.term, &opts).unwrap();
+    let res = exec(&out, &opts).unwrap();
     assert_eq!(res.value, RunValue::Int(1));
     assert!(res.stats.gc_count > 0);
 }
@@ -215,13 +221,15 @@ fn generational_mode_runs() {
                fun sum xs = case xs of nil => 0 | h :: t => h + sum t \
                fun main () = sum (upto 2000)";
     let out = compile(src, Strategy::Rg);
-    let mut opts = RunOpts::new(out.global);
-    opts.gc = GcPolicy::On {
-        min_bytes: 4 * 1024,
-        ratio: 1.2,
-        generational: true,
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::On {
+            min_bytes: 4 * 1024,
+            ratio: 1.2,
+            generational: true,
+        }),
+        ..ExecOpts::default()
     };
-    let res = run(&out.term, &opts).unwrap();
+    let res = exec(&out, &opts).unwrap();
     assert_eq!(res.value, RunValue::Int(2001000));
     assert!(res.stats.minor_gc_count > 0, "stats: {:?}", res.stats);
 }
@@ -237,7 +245,7 @@ fn deep_polymorphic_program_with_gc() {
 #[test]
 fn results_decode_structures() {
     let out = compile("fun main () = (1, (\"two\", [3, 4]))", Strategy::Rg);
-    let res = run(&out.term, &RunOpts::new(out.global)).unwrap();
+    let res = exec(&out, &ExecOpts::default()).unwrap();
     assert_eq!(
         res.value,
         RunValue::Pair(
@@ -275,7 +283,7 @@ fn out_of_scope_bindings_are_not_roots() {
     };
     let copied = |src: &str| {
         let out = compile(src, Strategy::Rg);
-        let res = run(&out.term, &RunOpts::baseline(out.global)).unwrap();
+        let res = exec(&out, &baseline()).unwrap();
         assert_eq!(res.value, RunValue::Int(3 * 64 * 8 + 2));
         assert_eq!(res.stats.gc_count, 3, "one forced collection each");
         res.stats.bytes_copied

@@ -3,21 +3,12 @@
 //! seed, and injected faults unwind structurally and leave nothing
 //! behind.
 
-use rml_eval::{run, GcPolicy, RunError, RunOpts, RunValue, VerifyLevel};
-use rml_infer::{infer, Options, Strategy};
+mod common;
 
-fn compile(src: &str, strategy: Strategy) -> rml_infer::Output {
-    let prog = rml_syntax::parse_program(src).unwrap();
-    let typed = rml_hm::infer_program(&prog).unwrap();
-    infer(
-        &typed,
-        Options {
-            strategy,
-            ..Options::default()
-        },
-    )
-    .unwrap()
-}
+use common::{compile, exec};
+use rml_eval::{run, ExecOpts, GcPolicy, RunError, RunValue, VerifyLevel};
+use rml_infer::Strategy;
+use rml_repr::ReprInfo;
 
 /// A stale read after a `letregion` pop is detected *at the read* — by
 /// the pointer's page-epoch check, with the collector off and therefore
@@ -52,9 +43,12 @@ fn letregion_pop_stale_read_is_detected_at_the_read() {
         )),
     };
 
-    let mut opts = RunOpts::new(global);
-    opts.gc = GcPolicy::Off;
-    let err = run(&term, &opts).expect_err("the stale read must fault");
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::Off),
+        ..ExecOpts::default()
+    };
+    let err =
+        run(&term, global, &ReprInfo::default(), &opts).expect_err("the stale read must fault");
     assert!(
         matches!(err, RunError::Dangling(_)),
         "expected a dangling-read fault, got: {err}"
@@ -78,9 +72,8 @@ fn letregion_pop_stale_read_is_detected_at_the_read() {
             None,
         )),
     };
-    let mut opts = RunOpts::new(global);
-    opts.gc = GcPolicy::Off;
-    let out = run(&sound, &opts).expect("global-region contents outlive the pop");
+    let out = run(&sound, global, &ReprInfo::default(), &opts)
+        .expect("global-region contents outlive the pop");
     assert_eq!(out.value, RunValue::Int(4));
     assert_eq!(out.stats.gc_count, 0, "GC off means no collections at all");
 }
@@ -95,10 +88,12 @@ const BUILDER: &str = "fun build n = if n = 0 then nil else (n, itos n) :: build
 fn stress_schedules_are_deterministic_per_seed() {
     let out = compile(BUILDER, Strategy::Rg);
     let go = |seed: u64| {
-        let mut opts = RunOpts::new(out.global);
-        opts.gc = GcPolicy::stress_every(3, seed);
-        opts.verify = VerifyLevel::AfterGc;
-        run(&out.term, &opts).expect("stressed run failed")
+        let opts = ExecOpts {
+            gc: Some(GcPolicy::stress_every(3, seed)),
+            verify: Some(VerifyLevel::AfterGc),
+            ..ExecOpts::default()
+        };
+        exec(&out, &opts).expect("stressed run failed")
     };
     let a = go(0xDEAD_BEEF);
     let b = go(0xDEAD_BEEF);
@@ -120,22 +115,25 @@ fn stress_schedules_are_deterministic_per_seed() {
 fn injected_faults_unwind_structurally_and_leave_no_residue() {
     let out = compile(BUILDER, Strategy::Rg);
 
-    let mut opts = RunOpts::new(out.global);
-    opts.alloc_budget = Some(10);
-    match run(&out.term, &opts) {
+    let opts = ExecOpts {
+        alloc_budget: Some(10),
+        ..ExecOpts::default()
+    };
+    match exec(&out, &opts) {
         Err(RunError::OutOfMemory { allocs }) => assert_eq!(allocs, 10),
         other => panic!("expected OutOfMemory, got {other:?}"),
     }
 
-    let mut opts = RunOpts::new(out.global);
-    opts.depth_limit = Some(2);
-    match run(&out.term, &opts) {
+    let opts = ExecOpts {
+        depth_limit: Some(2),
+        ..ExecOpts::default()
+    };
+    match exec(&out, &opts) {
         Err(RunError::DepthLimit { depth }) => assert!(depth > 2),
         other => panic!("expected DepthLimit, got {other:?}"),
     }
 
-    let opts = RunOpts::new(out.global);
-    let clean = run(&out.term, &opts).expect("clean run after faults");
+    let clean = exec(&out, &ExecOpts::default()).expect("clean run after faults");
     assert_eq!(clean.value, RunValue::Int(64));
 }
 
@@ -152,21 +150,18 @@ fn figure1_under_stress_rg_survives_rg_minus_faults_deterministically() {
          fun main () = run ()";
 
     let rg = compile(FIGURE1, Strategy::Rg);
-    let mut opts = RunOpts::new(rg.global);
-    opts.gc = GcPolicy::stress_every_step(0x7041_10E5);
-    opts.verify = VerifyLevel::EveryStep;
-    let out = run(&rg.term, &opts).expect("rg must survive stress");
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::stress_every_step(0x7041_10E5)),
+        verify: Some(VerifyLevel::EveryStep),
+        ..ExecOpts::default()
+    };
+    let out = exec(&rg, &opts).expect("rg must survive stress");
     assert_eq!(out.value, RunValue::Unit);
     assert!(out.stats.forced_gcs > 0);
     assert!(out.stats.verify_walks > 0);
 
     let rgm = compile(FIGURE1, Strategy::RgMinus);
-    let fail = |_: ()| {
-        let mut opts = RunOpts::new(rgm.global);
-        opts.gc = GcPolicy::stress_every_step(0x7041_10E5);
-        opts.verify = VerifyLevel::EveryStep;
-        run(&rgm.term, &opts).expect_err("rg- must fault under stress")
-    };
+    let fail = |_: ()| exec(&rgm, &opts).expect_err("rg- must fault under stress");
     let e1 = fail(());
     let e2 = fail(());
     assert!(matches!(e1, RunError::Dangling(_)), "got: {e1}");

@@ -58,6 +58,8 @@ struct Infer {
     store: TyStore,
     env: Vec<(Symbol, EnvEntry)>,
     next_quant: u32,
+    /// Fresh eta-expansion parameters drawn so far.
+    next_var: u32,
 }
 
 type IResult<T> = Result<T, TypeError>;
@@ -81,6 +83,11 @@ fn builtin_sig(op: PrimOp) -> (Ty, Ty) {
 }
 
 impl Infer {
+    fn fresh_var(&mut self) -> Symbol {
+        self.next_var += 1;
+        Symbol::fresh("x", self.next_var - 1)
+    }
+
     fn lookup(&self, x: Symbol) -> Option<&EnvEntry> {
         self.env.iter().rev().find(|(y, _)| *y == x).map(|(_, e)| e)
     }
@@ -556,7 +563,7 @@ impl Infer {
                 }),
                 Some(at) => {
                     // Constructor used as a value: eta-expand.
-                    let p = Symbol::fresh("x");
+                    let p = self.fresh_var();
                     let body = TExpr {
                         span,
                         ty: Ty::Exn,
@@ -587,7 +594,7 @@ impl Infer {
                 if let Some((_, op)) = BUILTINS.iter().find(|(n, _)| *n == x.as_str()) {
                     // Builtin used as a value: eta-expand.
                     let (at, rt) = builtin_sig(*op);
-                    let p = Symbol::fresh("x");
+                    let p = self.fresh_var();
                     let arg = TExpr {
                         span,
                         ty: at.clone(),
@@ -900,6 +907,7 @@ pub fn infer_program(p: &Program) -> Result<TProgram, TypeError> {
         store: TyStore::new(),
         env: Vec::new(),
         next_quant: 0,
+        next_var: 0,
     };
     let mut binds = Vec::new();
     for d in &p.decls {

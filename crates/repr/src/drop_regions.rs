@@ -59,10 +59,7 @@ mod tests {
     use super::*;
 
     fn analyze(src: &str) -> BTreeMap<String, (usize, usize)> {
-        let prog = rml_syntax::parse_program(src).unwrap();
-        let typed = rml_hm::infer_program(&prog).unwrap();
-        let out = rml_infer::infer(&typed, Default::default()).unwrap();
-        droppable_params(&out.term)
+        droppable_params(&crate::compile(src))
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Region-representation analyses (the MLKit phases the paper's Section 4
 //! says the new type system composes with [6, 43]).
 //!
-//! * **Multiplicity analysis** ([`multiplicity`]): classifies every
-//!   `letregion`-bound region as *finite* (at most one allocation per
-//!   lifetime, provably — such regions go on the stack and are never
-//!   collected) or *infinite* (heap pages, subject to tracing collection).
-//! * **Drop analysis** ([`drop_regions`]): finds quantified region
-//!   parameters of `fun` schemes that are never stored into by the body —
-//!   such parameters need not be passed at run time.
-//! * **Allocation statistics** ([`alloc_stats`]): allocation points per
-//!   region and per object kind, used by the benchmark reports.
+//! [`analyze`] owns the one decision the machine needs per
+//! `letregion`-bound region ([`ReprInfo`]):
+//!
+//! * **Multiplicity analysis** ([`multiplicity`]): a region is *finite*
+//!   (at most a known number of allocations per lifetime, provably — such
+//!   regions are never collected) or *infinite* (heap pages, subject to
+//!   tracing collection).
+//! * **Homogeneity analysis** ([`uniform`]): a region whose objects all
+//!   have one untagged-eligible kind may drop their headers (Section 6).
+//!
+//! Two reporting analyses are not part of that decision and run only when
+//! called: droppable region parameters ([`droppable_params`]) and
+//! allocation statistics ([`alloc_stats`]).
 //!
 //! # Example
 //!
@@ -20,7 +24,7 @@
 //! let out = rml_infer::infer(&typed, Default::default()).unwrap();
 //! let info = rml_repr::analyze(&out.term);
 //! // The pair's region is finite: exactly one allocation, outside loops.
-//! assert!(info.finite.len() >= 1);
+//! assert!(info.finite.values().any(|bound| *bound == 1));
 //! ```
 
 pub mod drop_regions;
@@ -29,41 +33,39 @@ pub mod stats;
 pub mod uniform;
 
 pub use drop_regions::droppable_params;
-pub use multiplicity::{finite_bounds, finite_regions};
+pub use multiplicity::finite_regions;
 pub use stats::{alloc_stats, AllocStats};
-pub use uniform::{uniform_regions, HomoKind};
+pub use uniform::uniform_regions;
 
 use rml_core::terms::Term;
 use rml_core::vars::RegVar;
-use std::collections::{BTreeMap, HashSet};
+use rml_runtime::UniformKind;
+use std::collections::HashMap;
 
-/// Combined analysis results.
+/// How the machine represents each `letregion`-bound region.
 #[derive(Debug, Clone, Default)]
 pub struct ReprInfo {
-    /// Letregion-bound regions proven finite.
-    pub finite: HashSet<RegVar>,
-    /// Static multiplicity bounds for the finite regions (objects per
-    /// lifetime); enforced by the heap verifier in torture runs.
-    pub bounds: std::collections::HashMap<RegVar, u64>,
-    /// Letregion-bound regions considered infinite.
-    pub infinite: HashSet<RegVar>,
-    /// Per-function droppable region parameters: name → (droppable, total).
-    pub droppable: BTreeMap<String, (usize, usize)>,
-    /// Allocation-site statistics.
-    pub allocs: AllocStats,
-    /// Kind-homogeneous regions eligible for untagged representation.
-    pub uniform: std::collections::HashMap<RegVar, HomoKind>,
+    /// Regions proven finite, each with its static multiplicity bound
+    /// (objects per lifetime; enforced by the heap verifier in torture
+    /// runs). A region absent here is infinite.
+    pub finite: HashMap<RegVar, u64>,
+    /// Kind-homogeneous regions eligible for the untagged (header-less)
+    /// representation.
+    pub uniform: HashMap<RegVar, UniformKind>,
 }
 
-/// Runs all analyses over a region-annotated program.
+/// Runs the representation analyses over a region-annotated program.
 pub fn analyze(term: &Term) -> ReprInfo {
-    let (finite, infinite) = finite_regions(term);
     ReprInfo {
-        bounds: finite_bounds(term),
-        finite,
-        infinite,
+        finite: finite_regions(term),
         uniform: uniform_regions(term),
-        droppable: droppable_params(term),
-        allocs: alloc_stats(term),
     }
+}
+
+/// Parses, types and region-infers `src` under strategy `rg`.
+#[cfg(test)]
+fn compile(src: &str) -> Term {
+    let prog = rml_syntax::parse_program(src).unwrap();
+    let typed = rml_hm::infer_program(&prog).unwrap();
+    rml_infer::infer(&typed, Default::default()).unwrap().term
 }

@@ -15,63 +15,38 @@
 
 use rml_core::terms::Term;
 use rml_core::vars::RegVar;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Classifies all `letregion`-bound regions of a program. Returns
-/// `(finite, infinite)`.
-pub fn finite_regions(term: &Term) -> (HashSet<RegVar>, HashSet<RegVar>) {
-    let mut finite = HashSet::new();
-    let mut infinite = HashSet::new();
-    walk(term, &mut |rvars, body| {
-        for rv in rvars {
-            let mut many = false;
-            let mut deep_site = false;
-            sites(
-                body,
-                *rv,
-                0,
-                &mut |depth| {
-                    if depth > 0 {
-                        deep_site = true;
-                    }
-                },
-                &mut many,
-            );
-            if many || deep_site {
-                infinite.insert(*rv);
-            } else {
-                finite.insert(*rv);
-            }
-        }
-    });
-    (finite, infinite)
-}
-
-/// Static multiplicity bounds for the finite regions of a program: each
-/// finite region holds at most as many objects as it has (depth-0)
-/// allocation sites, since every site executes at most once per lifetime.
-/// The heap verifier enforces these bounds at run time (torture rig).
+/// Classifies all `letregion`-bound regions of a program in one walk: a
+/// finite region maps to its static multiplicity bound, an infinite one
+/// is absent.
 ///
-/// A site appearing in both arms of an `if` counts twice, so the bound is
-/// an upper bound, never an undercount.
-pub fn finite_bounds(term: &Term) -> HashMap<RegVar, u64> {
-    let (finite, _) = finite_regions(term);
-    let mut bounds: HashMap<RegVar, u64> = HashMap::new();
+/// The bound is the number of the region's allocation sites, since every
+/// site of a finite region executes at most once per lifetime. A site
+/// appearing in both arms of an `if` counts twice, so the bound is an
+/// upper bound, never an undercount. The heap verifier enforces it at run
+/// time (torture rig).
+pub fn finite_regions(term: &Term) -> HashMap<RegVar, u64> {
+    // Region variables are not guaranteed unique across letregions: a
+    // variable is finite when any of its letregions is, with the largest
+    // site count seen as its bound.
+    let mut seen: HashMap<RegVar, (u64, bool)> = HashMap::new();
     walk(term, &mut |rvars, body| {
         for rv in rvars {
-            if !finite.contains(rv) {
-                continue;
-            }
-            let mut count = 0u64;
-            let mut many = false;
-            sites(body, *rv, 0, &mut |_| count += 1, &mut many);
-            // Region variables are not guaranteed unique across
-            // letregions; keep the largest count seen.
-            let entry = bounds.entry(*rv).or_insert(0);
-            *entry = (*entry).max(count);
+            let (mut count, mut deep_site, mut many) = (0u64, false, false);
+            let mut on_site = |depth| {
+                count += 1;
+                deep_site |= depth > 0;
+            };
+            sites(body, *rv, 0, &mut on_site, &mut many);
+            let entry = seen.entry(*rv).or_insert((0, false));
+            entry.0 = entry.0.max(count);
+            entry.1 |= !(many || deep_site);
         }
     });
-    bounds
+    seen.into_iter()
+        .filter_map(|(rv, (bound, finite))| finite.then_some((rv, bound)))
+        .collect()
 }
 
 /// Calls `f(rvars, body)` for every `letregion` node.
@@ -198,35 +173,50 @@ pub(crate) fn for_children<'a>(e: &'a Term, mut f: impl FnMut(&'a Term)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile;
+    use std::collections::HashSet;
 
-    fn analyze(src: &str) -> (HashSet<RegVar>, HashSet<RegVar>) {
-        let prog = rml_syntax::parse_program(src).unwrap();
-        let typed = rml_hm::infer_program(&prog).unwrap();
-        let out = rml_infer::infer(&typed, Default::default()).unwrap();
-        finite_regions(&out.term)
+    /// The region of the program's first pair.
+    fn pair_region(e: &Term) -> Option<RegVar> {
+        let mut found = match e {
+            Term::Pair(_, _, r) => Some(*r),
+            _ => None,
+        };
+        for_children(e, |c| found = found.or_else(|| pair_region(c)));
+        found
+    }
+
+    /// Every `letregion`-bound region variable.
+    fn bound_regions(term: &Term) -> HashSet<RegVar> {
+        let mut out = HashSet::new();
+        walk(term, &mut |rvars, _| out.extend(rvars.iter().copied()));
+        out
     }
 
     #[test]
     fn single_pair_is_finite() {
-        let (finite, _) = analyze("fun main () = let val p = (1, 2) in #1 p end");
-        assert!(!finite.is_empty());
+        let term = compile("fun main () = let val p = (1, 2) in #1 p end");
+        let finite = finite_regions(&term);
+        let r = pair_region(&term).unwrap();
+        assert_eq!(finite.get(&r), Some(&1), "{finite:?}");
     }
 
     #[test]
     fn list_spine_under_recursion_is_infinite() {
         // The spine region receives one cons per call via the region
         // application — infinite.
-        let (_, infinite) = analyze(
+        let term = compile(
             "fun upto n = if n = 0 then nil else n :: upto (n - 1) \
              fun len xs = case xs of nil => 0 | h :: t => 1 + len t \
              fun main () = len (upto 10)",
         );
-        assert!(!infinite.is_empty());
+        let finite = finite_regions(&term);
+        assert!(bound_regions(&term).iter().any(|r| !finite.contains_key(r)));
     }
 
     #[test]
     fn allocation_under_lambda_is_infinite() {
-        let (_, infinite) = analyze(
+        let term = compile(
             "fun main () = \
                let val mk = fn n => (n, n) \
                    val a = mk 1 \
@@ -234,33 +224,30 @@ mod tests {
                in #1 a + #1 b end",
         );
         // The pair region is allocated inside the lambda body.
-        assert!(!infinite.is_empty());
+        let r = pair_region(&term).unwrap();
+        assert!(!finite_regions(&term).contains_key(&r));
     }
 
     #[test]
     fn bounds_cover_finite_regions() {
-        let prog =
-            rml_syntax::parse_program("fun main () = let val p = (1, 2) in #1 p end").unwrap();
-        let typed = rml_hm::infer_program(&prog).unwrap();
-        let out = rml_infer::infer(&typed, Default::default()).unwrap();
-        let (finite, _) = finite_regions(&out.term);
-        let bounds = finite_bounds(&out.term);
-        for rv in &finite {
-            assert!(
-                bounds.contains_key(rv),
-                "finite region {rv} must have a bound"
-            );
-        }
-        // At least one region (the pair's) actually allocates.
-        assert!(bounds.values().any(|b| *b >= 1));
+        // Both arms allocate into the one region of `p`: the bound counts
+        // each site, so it covers whichever arm runs.
+        let term = compile("fun main () = let val p = if true then (1, 2) else (3, 4) in #1 p end");
+        let r = pair_region(&term).unwrap();
+        assert_eq!(finite_regions(&term).get(&r), Some(&2));
     }
 
     #[test]
     fn classification_is_a_partition() {
-        let (finite, infinite) = analyze(
+        // Finite and infinite split exactly the letregion-bound regions.
+        let term = compile(
             "fun f x = (x, x) \
              fun main () = let val p = (1, \"s\") in size (#2 p) + #1 (f 1) end",
         );
-        assert!(finite.is_disjoint(&infinite));
+        let finite = finite_regions(&term);
+        let bound = bound_regions(&term);
+        assert!(finite.keys().all(|r| bound.contains(r)), "{finite:?}");
+        assert!(!finite.is_empty());
+        assert!(bound.iter().any(|r| !finite.contains_key(r)));
     }
 }

@@ -14,8 +14,6 @@ pub struct AllocStats {
     pub alloc_sites: usize,
     /// Region applications.
     pub region_apps: usize,
-    /// Lambda abstractions (including `fun` members).
-    pub functions: usize,
 }
 
 /// Computes static allocation statistics.
@@ -31,18 +29,14 @@ fn go(e: &Term, s: &mut AllocStats) {
             s.letregions += 1;
             s.bound_regions += rvars.len();
         }
-        Term::Str(..) | Term::Pair(..) | Term::Cons(..) | Term::RefNew(..) | Term::Exn { .. } => {
-            s.alloc_sites += 1;
-        }
-        Term::Prim(_, _, Some(_)) => s.alloc_sites += 1,
-        Term::Lam { .. } => {
-            s.alloc_sites += 1;
-            s.functions += 1;
-        }
-        Term::Fix { defs, .. } => {
-            s.alloc_sites += 1;
-            s.functions += defs.len();
-        }
+        Term::Str(..)
+        | Term::Pair(..)
+        | Term::Cons(..)
+        | Term::RefNew(..)
+        | Term::Exn { .. }
+        | Term::Prim(_, _, Some(_))
+        | Term::Lam { .. }
+        | Term::Fix { .. } => s.alloc_sites += 1,
         Term::RApp { .. } => {
             s.region_apps += 1;
             s.alloc_sites += 1;
@@ -58,15 +52,10 @@ mod tests {
 
     #[test]
     fn counts_constructs() {
-        let prog =
-            rml_syntax::parse_program("fun main () = let val p = (1, \"x\") in size (#2 p) end")
-                .unwrap();
-        let typed = rml_hm::infer_program(&prog).unwrap();
-        let out = rml_infer::infer(&typed, Default::default()).unwrap();
-        let s = alloc_stats(&out.term);
+        let term = crate::compile("fun main () = let val p = (1, \"x\") in size (#2 p) end");
+        let s = alloc_stats(&term);
         assert!(s.letregions >= 1);
         assert!(s.alloc_sites >= 2); // pair + string (+ closures)
-        assert!(s.functions >= 1);
         assert!(s.region_apps >= 1); // the call to main
     }
 }

@@ -7,23 +7,13 @@
 use crate::multiplicity::for_children;
 use rml_core::terms::Term;
 use rml_core::vars::RegVar;
+use rml_runtime::UniformKind;
 use std::collections::HashMap;
-
-/// Untagged-eligible object kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HomoKind {
-    /// Two-word pairs.
-    Pair,
-    /// Two-word cons cells.
-    Cons,
-    /// One-word reference cells.
-    Ref,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Seen {
     Nothing,
-    Only(HomoKind),
+    Only(UniformKind),
     Mixed,
 }
 
@@ -36,7 +26,7 @@ enum Seen {
 /// flow edge *bound parameter → actual region*, and kind summaries are
 /// propagated to a fixpoint (the lattice `Nothing < Only(k) < Mixed` has
 /// height two, so this converges quickly).
-pub fn uniform_regions(term: &Term) -> HashMap<RegVar, HomoKind> {
+pub fn uniform_regions(term: &Term) -> HashMap<RegVar, UniformKind> {
     let mut seen: HashMap<RegVar, Seen> = HashMap::new();
     let mut edges: Vec<(RegVar, RegVar)> = Vec::new(); // bound → actual
     collect(term, &mut seen, &mut edges);
@@ -69,7 +59,7 @@ pub fn uniform_regions(term: &Term) -> HashMap<RegVar, HomoKind> {
         .collect()
 }
 
-fn mark(seen: &mut HashMap<RegVar, Seen>, r: RegVar, k: Option<HomoKind>) {
+fn mark(seen: &mut HashMap<RegVar, Seen>, r: RegVar, k: Option<UniformKind>) {
     let entry = seen.entry(r).or_insert(Seen::Nothing);
     *entry = match (*entry, k) {
         (Seen::Mixed, _) | (_, None) => Seen::Mixed,
@@ -81,9 +71,9 @@ fn mark(seen: &mut HashMap<RegVar, Seen>, r: RegVar, k: Option<HomoKind>) {
 
 fn collect(e: &Term, seen: &mut HashMap<RegVar, Seen>, edges: &mut Vec<(RegVar, RegVar)>) {
     match e {
-        Term::Pair(_, _, r) => mark(seen, *r, Some(HomoKind::Pair)),
-        Term::Cons(_, _, r) => mark(seen, *r, Some(HomoKind::Cons)),
-        Term::RefNew(_, r) => mark(seen, *r, Some(HomoKind::Ref)),
+        Term::Pair(_, _, r) => mark(seen, *r, Some(UniformKind::Pair)),
+        Term::Cons(_, _, r) => mark(seen, *r, Some(UniformKind::Cons)),
+        Term::RefNew(_, r) => mark(seen, *r, Some(UniformKind::Ref)),
         Term::Str(_, r) | Term::Exn { at: r, .. } => mark(seen, *r, None),
         Term::Prim(_, _, Some(r)) => mark(seen, *r, None),
         Term::Lam { at, .. } => mark(seen, *at, None),
@@ -109,11 +99,8 @@ fn collect(e: &Term, seen: &mut HashMap<RegVar, Seen>, edges: &mut Vec<(RegVar, 
 mod tests {
     use super::*;
 
-    fn analyze(src: &str) -> HashMap<RegVar, HomoKind> {
-        let prog = rml_syntax::parse_program(src).unwrap();
-        let typed = rml_hm::infer_program(&prog).unwrap();
-        let out = rml_infer::infer(&typed, Default::default()).unwrap();
-        uniform_regions(&out.term)
+    fn analyze(src: &str) -> HashMap<RegVar, UniformKind> {
+        uniform_regions(&crate::compile(src))
     }
 
     #[test]
@@ -125,7 +112,7 @@ mod tests {
              fun len xs = case xs of nil => 0 | h :: t => 1 + len t \
              fun main () = len (upto 5)",
         );
-        assert!(u.values().any(|k| *k == HomoKind::Cons), "{u:?}");
+        assert!(u.values().any(|k| *k == UniformKind::Cons), "{u:?}");
     }
 
     #[test]
@@ -139,20 +126,23 @@ mod tests {
         );
         // No region may be classified with a kind it does not hold.
         for k in u.values() {
-            assert!(matches!(k, HomoKind::Pair | HomoKind::Cons | HomoKind::Ref));
+            assert!(matches!(
+                k,
+                UniformKind::Pair | UniformKind::Cons | UniformKind::Ref
+            ));
         }
     }
 
     #[test]
     fn local_pair_region_is_uniform() {
         let u = analyze("fun main () = let val p = (1, 2) in #1 p end");
-        assert!(u.values().any(|k| *k == HomoKind::Pair), "{u:?}");
+        assert!(u.values().any(|k| *k == UniformKind::Pair), "{u:?}");
     }
 
     #[test]
     fn ref_region_is_uniform() {
         let u = analyze("fun main () = let val r = ref 1 in !r end");
-        assert!(u.values().any(|k| *k == HomoKind::Ref), "{u:?}");
+        assert!(u.values().any(|k| *k == UniformKind::Ref), "{u:?}");
     }
 
     #[test]
@@ -161,7 +151,10 @@ mod tests {
         let u = analyze("fun main () = let val p = (\"a\", (1, 2)) in size (#1 p) end");
         // Whatever is uniform, nothing maps a string region.
         for k in u.values() {
-            assert!(matches!(k, HomoKind::Pair | HomoKind::Cons | HomoKind::Ref));
+            assert!(matches!(
+                k,
+                UniformKind::Pair | UniformKind::Cons | UniformKind::Ref
+            ));
         }
     }
 }

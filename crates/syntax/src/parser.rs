@@ -62,6 +62,8 @@ struct Parser {
     toks: Vec<Token>,
     pos: usize,
     depth: usize,
+    /// Fresh parameter names drawn so far.
+    fresh: u32,
 }
 
 /// A parsed parameter, possibly a tuple pattern pending desugaring.
@@ -349,8 +351,9 @@ impl Parser {
                         comps.push(self.ident()?);
                     }
                     self.expect(Tok::RParen)?;
+                    self.fresh += 1;
                     return Ok(Param {
-                        var: Symbol::fresh("p"),
+                        var: Symbol::fresh("p", self.fresh - 1),
                         ann: None,
                         tuple: Some(comps),
                     });
@@ -866,6 +869,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         toks,
         pos: 0,
         depth: 0,
+        fresh: 0,
     };
     let mut decls = Vec::new();
     while p.peek().is_some() {
@@ -893,6 +897,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
         toks,
         pos: 0,
         depth: 0,
+        fresh: 0,
     };
     let e = p.expr()?;
     if p.peek().is_some() {

@@ -82,14 +82,17 @@ impl Symbol {
         interner().lock().ok()?.strings.get(i as usize).copied()
     }
 
-    /// Creates a fresh symbol that is guaranteed not to clash with any
-    /// source identifier (the name contains a `#`, which the lexer rejects
-    /// in identifiers).
-    pub fn fresh(base: &str) -> Symbol {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static NEXT: AtomicU32 = AtomicU32::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    /// The `n`th fresh symbol with prefix `base`, guaranteed not to clash
+    /// with any source identifier (the name contains a `#`, which the
+    /// lexer rejects in identifiers). Each compile numbers its own fresh
+    /// names from 0, so compiling a program again interns nothing new.
+    pub fn fresh(base: &str, n: u32) -> Symbol {
         Symbol::intern(&format!("{base}#{n}"))
+    }
+
+    /// How many strings the process has interned so far.
+    pub fn interned() -> usize {
+        interner().lock().unwrap().strings.len()
     }
 }
 
@@ -128,9 +131,10 @@ mod tests {
 
     #[test]
     fn fresh_symbols_are_distinct() {
-        let a = Symbol::fresh("tmp");
-        let b = Symbol::fresh("tmp");
+        let a = Symbol::fresh("tmp", 0);
+        let b = Symbol::fresh("tmp", 1);
         assert_ne!(a, b);
+        assert_eq!(a, Symbol::fresh("tmp", 0));
         assert!(a.as_str().starts_with("tmp#"));
     }
 

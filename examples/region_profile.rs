@@ -1,6 +1,6 @@
 //! Region profiling: the static representation analyses of `rml-repr`
-//! (finite/infinite classification, droppable region parameters) next to
-//! the dynamic region behaviour of a run.
+//! (finite/untagged regions, droppable region parameters, allocation
+//! statistics) next to the dynamic region behaviour of a run.
 //!
 //! ```sh
 //! cargo run --example region_profile
@@ -20,14 +20,16 @@ fn main() {
     "#;
     let c = compile(src, Strategy::Rg).expect("compile");
 
+    let allocs = rml_repr::alloc_stats(&c.output.term);
     println!("== static region representation (rml-repr) ==");
+    println!("  letregion nodes  : {}", allocs.letregions);
+    println!("  bound regions    : {}", allocs.bound_regions);
     println!("  finite regions   : {}", c.repr.finite.len());
-    println!("  infinite regions : {}", c.repr.infinite.len());
-    println!("  letregion nodes  : {}", c.repr.allocs.letregions);
-    println!("  allocation sites : {}", c.repr.allocs.alloc_sites);
-    println!("  region apps      : {}", c.repr.allocs.region_apps);
+    println!("  untagged regions : {}", c.repr.uniform.len());
+    println!("  allocation sites : {}", allocs.alloc_sites);
+    println!("  region apps      : {}", allocs.region_apps);
     println!("  droppable region parameters per function:");
-    for (f, (droppable, total)) in &c.repr.droppable {
+    for (f, (droppable, total)) in &rml_repr::droppable_params(&c.output.term) {
         println!("    {f:<10} {droppable}/{total}");
     }
 

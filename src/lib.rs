@@ -13,9 +13,14 @@
 //! source ──rml-syntax──▶ AST ──rml-hm──▶ typed AST
 //!        ──rml-infer──▶ region-annotated term (+ Fig. 9 statistics)
 //!        ──rml-core───▶ checked against the paper's typing rules
-//!        ──rml-repr───▶ finite/infinite region classification
+//!        ──rml-repr───▶ ReprInfo: finite regions + bounds, untagged regions
 //!        ──rml-eval───▶ executed on the rml-runtime heap
 //! ```
+//!
+//! [`execute`] hands the compiled term, its global region and its
+//! [`rml_repr::ReprInfo`] straight to [`rml_eval::run`]; the only choice
+//! it makes is the collector default (off for strategy `r`). Run options
+//! are [`ExecOpts`], defined in `rml-eval`.
 //!
 //! and ships the basis library ([`basis`]) and the benchmark programs
 //! ([`programs`]) used to regenerate the paper's evaluation.
@@ -38,9 +43,9 @@ pub mod torture;
 pub use metrics::{MetricsSnapshot, PauseHistogram};
 pub use pipeline::{
     check, check_diag, check_full, compile, compile_count, compile_with_basis, emit_ir, execute,
-    render_diagnostic, CompileError, CompileTimings, Compiled, ExecOpts,
+    render_diagnostic, CompileError, CompileTimings, Compiled,
 };
-pub use rml_eval::{RunOutcome, RunValue};
+pub use rml_eval::{ExecOpts, RunOutcome, RunValue};
 pub use rml_infer::{SpuriousStyle, Strategy};
 pub use rml_session::{Diagnostic, Json, SourceMap, Span};
 

@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn snapshot_json_has_the_unified_sections() {
         let c = crate::pipeline::compile("fun main () = 1 + 2", crate::Strategy::Rg).unwrap();
-        let out = crate::pipeline::execute(&c, &crate::pipeline::ExecOpts::default()).unwrap();
+        let out = crate::pipeline::execute(&c, &crate::ExecOpts::default()).unwrap();
         let m = MetricsSnapshot::new(&c.timings, c.output.store_stats, &out);
         let json = m.to_json().render();
         for key in ["phases_us", "store", "heap", "steps", "gc_pauses", "p99_us"] {

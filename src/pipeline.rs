@@ -1,7 +1,7 @@
 //! The compilation pipeline: parse → type → region-infer → analyse →
 //! execute.
 
-use rml_eval::{GcPolicy, RunError, RunOpts, RunOutcome};
+use rml_eval::{ExecOpts, GcPolicy, RunError, RunOutcome};
 use rml_infer::{Options, SpuriousStyle, Strategy};
 use rml_repr::ReprInfo;
 use rml_session::{trace, Diagnostic, SourceMap, Span};
@@ -261,42 +261,6 @@ pub fn emit_ir(c: &Compiled) -> Vec<u8> {
     rml_core::ir::encode_program(&prog)
 }
 
-/// Execution options.
-#[derive(Debug, Clone)]
-pub struct ExecOpts {
-    /// GC policy; `None` picks the strategy default (`Off` for `r`, on
-    /// otherwise).
-    pub gc: Option<GcPolicy>,
-    /// Run the regionless baseline machine instead.
-    pub baseline: bool,
-    /// Use the partly tag-free (untagged pairs/refs/cons) representation
-    /// for kind-homogeneous regions (paper Section 6).
-    pub tag_free: bool,
-    /// Step limit.
-    pub fuel: u64,
-    /// Fault injection: fail with `OutOfMemory` at this many allocations.
-    pub alloc_budget: Option<u64>,
-    /// Fault injection: continuation-depth limit.
-    pub depth_limit: Option<usize>,
-    /// Heap-invariant verification cadence; `None` picks the policy
-    /// default (`AfterGc` under stress schedules, `Off` otherwise).
-    pub verify: Option<rml_eval::VerifyLevel>,
-}
-
-impl Default for ExecOpts {
-    fn default() -> ExecOpts {
-        ExecOpts {
-            gc: None,
-            baseline: false,
-            tag_free: true,
-            fuel: u64::MAX,
-            alloc_budget: None,
-            depth_limit: None,
-            verify: None,
-        }
-    }
-}
-
 /// Executes a compiled program on the region heap.
 ///
 /// # Errors
@@ -304,42 +268,17 @@ impl Default for ExecOpts {
 /// Propagates [`RunError`] — in particular `Dangling` when the collector
 /// meets a dangling pointer (strategy `rg-` on the paper's programs).
 pub fn execute(c: &Compiled, opts: &ExecOpts) -> Result<RunOutcome, RunError> {
-    let mut ro = if opts.baseline {
-        RunOpts::baseline(c.output.global)
-    } else {
-        RunOpts::new(c.output.global)
-    };
-    ro.gc = opts.gc.unwrap_or(match c.strategy {
-        Strategy::R => GcPolicy::Off,
-        _ => GcPolicy::default_on(),
+    // Strategy `r` has no collector unless the caller asks for one.
+    let gc = opts.gc.or(match c.strategy {
+        Strategy::R => Some(GcPolicy::Off),
+        _ => None,
     });
-    if !opts.baseline {
-        ro.finite = c.repr.finite.clone();
-        ro.finite_bounds = c.repr.bounds.clone();
-    }
-    if opts.tag_free && !opts.baseline {
-        ro.uniform = c
-            .repr
-            .uniform
-            .iter()
-            .map(|(rv, k)| {
-                let uk = match k {
-                    rml_repr::HomoKind::Pair => rml_runtime::UniformKind::Pair,
-                    rml_repr::HomoKind::Cons => rml_runtime::UniformKind::Cons,
-                    rml_repr::HomoKind::Ref => rml_runtime::UniformKind::Ref,
-                };
-                (*rv, uk)
-            })
-            .collect();
-    }
-    ro.fuel = opts.fuel;
-    ro.alloc_budget = opts.alloc_budget;
-    ro.depth_limit = opts.depth_limit;
-    ro.verify = opts.verify.unwrap_or(match ro.gc {
-        GcPolicy::Stress(_) => rml_eval::VerifyLevel::AfterGc,
-        _ => rml_eval::VerifyLevel::Off,
-    });
-    rml_eval::run(&c.output.term, &ro)
+    rml_eval::run(
+        &c.output.term,
+        c.output.global,
+        &c.repr,
+        &ExecOpts { gc, ..*opts },
+    )
 }
 
 #[cfg(test)]

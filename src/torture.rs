@@ -32,8 +32,8 @@
 //! [`RunError`]s and that a clean re-run still agrees with the reference
 //! (the machine is resumable from a clean heap after a rejected run).
 
-use crate::pipeline::{compile_opts, compile_with_basis, CompileError, Compiled, ExecOpts};
-use rml_eval::{GcPolicy, RunError, VerifyLevel};
+use crate::pipeline::{compile_opts, compile_with_basis, CompileError, Compiled};
+use rml_eval::{ExecOpts, GcPolicy, RunError, VerifyLevel};
 use rml_infer::{SpuriousStyle, Strategy};
 use std::fmt::Write as _;
 

@@ -205,6 +205,22 @@ fn formal_and_heap_machines_agree() {
 }
 
 #[test]
+fn formal_and_heap_machines_share_the_int_width() {
+    // 2^30 * 2^30 = 2^60 overflows 61-bit two's complement to -2^60.
+    let c = compile(
+        "fun main () = (1073741824 * 1073741824) div 2",
+        Strategy::Rg,
+    )
+    .unwrap();
+    let formal = Machine::new([c.output.global])
+        .eval(c.output.term.clone(), 1000)
+        .unwrap();
+    let heap = rml::execute(&c, &rml::ExecOpts::default()).unwrap().value;
+    assert_eq!(formal, rml_core::Value::Int(-576460752303423488));
+    assert_eq!(heap, rml_eval::RunValue::Int(-576460752303423488));
+}
+
+#[test]
 fn unique_decomposition_on_nonvalues() {
     // Proposition 17's algorithmic counterpart: a well-typed non-value
     // term always steps (never gets stuck mid-decomposition).
