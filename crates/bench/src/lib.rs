@@ -596,9 +596,9 @@ fn measurement_json(m: &Measurement) -> Json {
 
 /// Serialises the table and the ablations as machine-readable JSON:
 /// per-program compile time, and per run its time plus the metrics
-/// snapshot (or the run error). All emission goes through
-/// [`rml_session::json`] — strings are escaped and non-finite floats are
-/// rejected rather than interpolated.
+/// snapshot (or the run error). All emission goes through [`Json`] —
+/// strings are escaped and non-finite floats are rejected rather than
+/// interpolated.
 pub fn to_json(rows: &[Row], ablations: &[Ablation]) -> String {
     let runs = |ms: &[Measurement]| Json::Arr(ms.iter().map(measurement_json).collect());
     let rows_json: Vec<Json> = rows

@@ -19,9 +19,9 @@ use rml_syntax::Symbol;
 /// A deterministic adversarial collection schedule (the torture rig).
 ///
 /// All scheduling decisions derive from the machine step counter and a
-/// [`Xorshift64`] stream seeded from `seed` — never from ambient
-/// randomness — so the same seed always produces the same schedule and
-/// therefore the same run outcome.
+/// [`Xorshift64`](rml_runtime::Xorshift64) stream seeded from `seed` —
+/// never from ambient randomness — so the same seed always produces the
+/// same schedule and therefore the same run outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StressSchedule {
     /// Force a collection every `period` machine steps (0 disables the
@@ -339,6 +339,8 @@ struct Machine<'a> {
     buf: Vec<u64>,
     group: Vec<Word>,
     rargs: Vec<RegionId>,
+    /// The root set handed to the collector and the verifier.
+    roots: Vec<Word>,
 }
 
 type MResult<T> = Result<T, RunError>;
@@ -410,6 +412,7 @@ pub fn run(
         buf: Vec::new(),
         group: Vec::new(),
         rargs: Vec::new(),
+        roots: Vec::new(),
     };
     let run_span = trace::span("machine.run", "eval");
     let value = m.run_loop(main.body)?;
@@ -653,7 +656,8 @@ impl Machine<'_> {
         if decision.is_none() && !verify_now {
             return Ok(());
         }
-        let mut roots = Vec::new();
+        let mut roots = std::mem::take(&mut self.roots);
+        roots.clear();
         self.each_root(ctrl, |v| roots.push(Word(*v)));
         if let Some((minor, forced)) = decision {
             self.gc_pending = false;
@@ -690,6 +694,7 @@ impl Machine<'_> {
                 Err(e) => return Err(RunError::Invariant(e.to_string())),
             }
         }
+        self.roots = roots;
         Ok(())
     }
 

@@ -29,7 +29,7 @@
 //!   every generated program halts — oracle fuel is never the limiting
 //!   factor.
 //!
-//! The companion [`shrink`] module minimises failing programs by typed
+//! The companion [`shrink`](mod@shrink) module minimises failing programs by typed
 //! subterm deletion and constant folding, re-validating through HM after
 //! every step, so fuzzer findings check in as small `.rml` regression
 //! corpus entries.

@@ -17,11 +17,10 @@
 //! collection ("young" pages), using the write-barrier-maintained
 //! remembered set for old-to-young pointers.
 
-use crate::heap::{Heap, RegionKind};
+use crate::heap::{Heap, RegionId, RegionKind};
 use crate::stats::GcPause;
 use crate::word::{Header, ObjKind, Word, WORD_BYTES};
 use rml_session::trace;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A collection error.
@@ -73,6 +72,11 @@ impl Heap {
     /// Performs a tracing collection. `roots` are updated in place; pass
     /// `minor = true` for a generational (young-pages-only) collection.
     ///
+    /// Walks only the live heap: the live regions' page lists, the pages
+    /// reachable from `roots`, and the finite regions' pages. Its work
+    /// lists live in the heap, so a collection allocates on the host only
+    /// while they grow.
+    ///
     /// # Errors
     ///
     /// Returns [`GcError::DanglingPointer`] if a live object points into a
@@ -83,93 +87,60 @@ impl Heap {
         let _span = trace::span(if minor { "gc.minor" } else { "gc.major" }, "runtime");
         let pause_start = Instant::now();
         let copied_before = self.stats.bytes_copied;
-        // 1. Decide which pages get evacuated.
-        let evacuate: Vec<bool> = self
-            .pages
-            .iter()
-            .map(|p| {
-                p.live
-                    && self.regions[p.region.0 as usize].kind == RegionKind::Infinite
-                    && self.regions[p.region.0 as usize].live
-                    && (!minor || p.young)
-            })
-            .collect();
-        // Old pages of every collected region are detached so copies go to
-        // fresh pages; pages that are not evacuated stay put.
-        let mut old_pages: Vec<u32> = Vec::new();
-        for r in self.live_regions().to_vec() {
-            let region = &mut self.regions[r.0 as usize];
+        // 1. Detach the pages to evacuate from every infinite region, so
+        //    copies go to fresh pages; pages that are not evacuated stay
+        //    put.
+        let gc_count = self.stats.gc_count;
+        let Heap {
+            pages,
+            regions,
+            live_regions,
+            scratch,
+            ..
+        } = self;
+        for r in live_regions.iter() {
+            let region = &mut regions[r.0 as usize];
             if region.kind != RegionKind::Infinite {
                 continue;
             }
-            let (keep, evac): (Vec<u32>, Vec<u32>) =
-                region.pages.drain(..).partition(|p| !evacuate[*p as usize]);
-            region.pages = keep;
-            old_pages.extend(evac);
-        }
-        // 2. Forward the roots, then the remembered set (minor only),
-        //    then scan. Untagged (header-less) objects cannot hold an
-        //    in-place forwarding marker, so they forward through a side
-        //    table.
-        let mut queue: Vec<Word> = Vec::new();
-        let mut fwd: HashMap<u64, Word> = HashMap::new();
-        for w in roots.iter_mut() {
-            *w = self.forward(*w, &evacuate, &mut queue, &mut fwd, "root")?;
-        }
-        let remembered = std::mem::take(&mut self.remembered);
-        if minor {
-            for obj in remembered {
-                // The object itself is old (not moved); fix its fields.
-                if self.check_ptr(obj, "remembered").is_ok() {
-                    self.scan_object(obj, &evacuate, &mut queue, &mut fwd)?;
+            region.pages.retain(|&p| {
+                let page = &mut pages[p as usize];
+                let evacuate = page.live && (!minor || page.born == gc_count);
+                if evacuate {
+                    page.from_space = true;
+                    scratch.old_pages.push(p);
                 }
+                !evacuate
+            });
+        }
+        // 2. Trace, then release from-space (or, on failure, leave it
+        //    detached but unmarked).
+        let traced = self.trace_live(roots, minor);
+        let mut old_pages = std::mem::take(&mut self.scratch.old_pages);
+        for &p in &old_pages {
+            if traced.is_ok() {
+                self.release_page(p);
+            } else {
+                self.pages[p as usize].from_space = false;
             }
         }
-        // Scan unmoved regions' pages in place: finite regions always; in
-        // a minor collection also the old pages of infinite regions are
-        // covered by the remembered set, so only finite-region young pages
-        // need a sweep here. For a major collection, scan all finite
-        // pages.
-        let in_place: Vec<u32> = self
-            .pages
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| {
-                p.live
-                    && !evacuate.get(*i).copied().unwrap_or(false)
-                    && self.regions[p.region.0 as usize].live
-                    && self.regions[p.region.0 as usize].kind == RegionKind::Finite
-                    && (!minor || p.young)
-            })
-            .map(|(i, _)| i as u32)
-            .collect();
-        for p in in_place {
-            self.scan_page(p, &evacuate, &mut queue, &mut fwd)?;
-        }
-        while let Some(obj) = queue.pop() {
-            self.scan_object(obj, &evacuate, &mut queue, &mut fwd)?;
-        }
-        // 3. Release the evacuated pages and reset generation marks.
-        for p in old_pages {
-            self.release_page(p);
-        }
-        for p in &mut self.pages {
-            p.young = false;
-            if p.live {
-                p.sealed = true; // never mix generations within a page
-            }
-        }
+        old_pages.clear();
+        self.scratch.old_pages = old_pages;
+        traced?;
+        // Counting the collection seals every page it leaves (see
+        // `Page::born`).
         self.stats.gc_count += 1;
         if minor {
             self.stats.minor_gc_count += 1;
         }
         self.bytes_since_gc = 0;
-        self.live_after_gc = self
-            .pages
-            .iter()
-            .filter(|p| p.live)
-            .map(|p| p.used as u64 * WORD_BYTES)
-            .sum();
+        let mut live_words = 0;
+        for r in &self.live_regions {
+            for &p in &self.regions[r.0 as usize].pages {
+                live_words += self.pages[p as usize].used as u64;
+            }
+        }
+        self.live_after_gc = live_words * WORD_BYTES;
         let pause = GcPause {
             duration: pause_start.elapsed(),
             bytes_copied: self.stats.bytes_copied - copied_before,
@@ -191,17 +162,56 @@ impl Heap {
         Ok(())
     }
 
+    /// Forwards the roots, then the remembered set (minor only), then
+    /// scans the finite regions' pages in place and drains the queue.
+    fn trace_live(&mut self, roots: &mut [Word], minor: bool) -> Result<(), GcError> {
+        self.scratch.work.clear();
+        self.scratch.untagged_fwd.clear();
+        for w in roots.iter_mut() {
+            *w = self.forward(*w, "root")?;
+        }
+        let mut remembered = std::mem::take(&mut self.remembered);
+        if minor {
+            for &obj in &remembered {
+                // The object itself is old (not moved); fix its fields.
+                if self.check_ptr(obj, "remembered").is_ok() {
+                    self.scan_object(obj)?;
+                }
+            }
+        }
+        remembered.clear();
+        self.remembered = remembered;
+        // Unmoved pages are scanned in place, in page order: every finite
+        // page in a major collection; in a minor one only the young
+        // finite pages (old infinite pages are covered by the remembered
+        // set).
+        let mut in_place = std::mem::take(&mut self.scratch.in_place);
+        in_place.clear();
+        for r in &self.live_regions {
+            let region = &self.regions[r.0 as usize];
+            if region.kind != RegionKind::Finite {
+                continue;
+            }
+            for &p in &region.pages {
+                if self.pages[p as usize].live && (!minor || self.young(p)) {
+                    in_place.push(p);
+                }
+            }
+        }
+        in_place.sort_unstable();
+        let scanned = in_place.iter().try_for_each(|&p| self.scan_page(p));
+        self.scratch.in_place = in_place;
+        scanned?;
+        while let Some(obj) = self.scratch.work.pop() {
+            self.scan_object(obj)?;
+        }
+        Ok(())
+    }
+
     /// Forwards one word: immediates pass through; pointers into
     /// non-evacuated pages pass through; pointers into evacuated pages are
     /// copied (once) to fresh pages of their region.
-    fn forward(
-        &mut self,
-        w: Word,
-        evacuate: &[bool],
-        queue: &mut Vec<Word>,
-        fwd: &mut HashMap<u64, Word>,
-        context: &'static str,
-    ) -> Result<Word, GcError> {
+    fn forward(&mut self, w: Word, context: &'static str) -> Result<Word, GcError> {
         if !w.is_pointer() {
             return Ok(w);
         }
@@ -215,7 +225,7 @@ impl Heap {
         }
         // Pages created during this collection (to-space) are never
         // evacuated again.
-        if !evacuate.get(page as usize).copied().unwrap_or(false) {
+        if !p.from_space {
             // Not moving; if its region is dead, that's dangling too.
             if !self.regions[p.region.0 as usize].live {
                 return Err(GcError::DanglingPointer { context });
@@ -225,21 +235,11 @@ impl Heap {
         let region = p.region;
         if let Some(u) = self.uniform_of_page(page) {
             // Untagged object: side-table forwarding.
-            if let Some(new) = fwd.get(&w.0) {
+            if let Some(new) = self.scratch.untagged_fwd.get(&w.0) {
                 return Ok(*new);
             }
-            let words = u.words();
-            let payload: Vec<u64> =
-                self.pages[page as usize].words[off as usize..off as usize + words].to_vec();
-            let header = Header {
-                kind: u.obj_kind(),
-                len: words as u32,
-                raw: 0,
-            };
-            let new = self.copy_object(region, header, &payload);
-            self.stats.bytes_copied += words as u64 * WORD_BYTES;
-            fwd.insert(w.0, new);
-            queue.push(new);
+            let new = self.copy_object(region, page, off as usize, u.words());
+            self.scratch.untagged_fwd.insert(w.0, new);
             return Ok(new);
         }
         let header_word = p.words[off as usize];
@@ -252,11 +252,12 @@ impl Heap {
         if header.kind == ObjKind::Forward {
             return Ok(Word(p.words[off as usize + 1]));
         }
-        // Copy to a fresh page of the same region.
-        let payload: Vec<u64> =
-            p.words[off as usize + 1..off as usize + 1 + header.payload_words() as usize].to_vec();
-        let new = self.copy_object(region, header, &payload);
-        self.stats.bytes_copied += (payload.len() as u64 + 1) * WORD_BYTES;
+        let new = self.copy_object(
+            region,
+            page,
+            off as usize,
+            1 + header.payload_words() as usize,
+        );
         // Leave a forwarding marker.
         let p = &mut self.pages[page as usize];
         p.words[off as usize] = Header {
@@ -266,41 +267,31 @@ impl Heap {
         }
         .encode();
         p.words[off as usize + 1] = new.0;
-        queue.push(new);
         Ok(new)
     }
 
-    /// Raw copy used by the collector (does not count as program
-    /// allocation).
-    fn copy_object(
-        &mut self,
-        region: crate::heap::RegionId,
-        header: Header,
-        payload: &[u64],
-    ) -> Word {
-        let before_alloc = self.stats.bytes_allocated;
-        let before_objs = self.stats.objects_allocated;
-        let before_since = self.bytes_since_gc;
-        let before_bytes = self.regions[region.0 as usize].bytes;
-        let before_robjs = self.regions[region.0 as usize].objects;
-        let w = self.alloc_with_header(region, header, payload);
-        self.stats.bytes_allocated = before_alloc;
-        self.stats.objects_allocated = before_objs;
-        self.bytes_since_gc = before_since;
-        self.regions[region.0 as usize].bytes = before_bytes;
-        self.regions[region.0 as usize].objects = before_robjs;
-        w
+    /// Copies the `need`-word object at `src`/`off` (header included,
+    /// when it has one) to the end of its region and queues the copy for
+    /// scanning. Copies are not program allocation: only the collector's
+    /// counters move.
+    fn copy_object(&mut self, region: RegionId, src: u32, off: usize, need: usize) -> Word {
+        let (dst, at) = self.reserve(region, need);
+        // From-space pages are detached from their region, so `dst` is
+        // never `src`; borrow the source words out for the copy.
+        let from = std::mem::take(&mut self.pages[src as usize].words);
+        let to = &mut self.pages[dst as usize];
+        to.words[at..at + need].copy_from_slice(&from[off..off + need]);
+        let new = Word::pointer(dst, at as u32, to.epoch);
+        self.pages[src as usize].words = from;
+        self.stats.bytes_copied += need as u64 * WORD_BYTES;
+        self.stats.objects_copied += 1;
+        self.scratch.work.push(new);
+        new
     }
 
     /// Scans the traceable fields of one (already copied or in-place)
     /// object.
-    fn scan_object(
-        &mut self,
-        obj: Word,
-        evacuate: &[bool],
-        queue: &mut Vec<Word>,
-        fwd_table: &mut HashMap<u64, Word>,
-    ) -> Result<(), GcError> {
+    fn scan_object(&mut self, obj: Word) -> Result<(), GcError> {
         let (page, off) = self
             .check_ptr(obj, "scan")
             .map_err(|_| GcError::DanglingPointer { context: "scan" })?;
@@ -322,20 +313,14 @@ impl Heap {
         };
         for i in start..end {
             let field = Word(self.pages[page as usize].words[off as usize + skip + i]);
-            let fwd = self.forward(field, evacuate, queue, fwd_table, "object field")?;
+            let fwd = self.forward(field, "object field")?;
             self.pages[page as usize].words[off as usize + skip + i] = fwd.0;
         }
         Ok(())
     }
 
     /// Scans every object of a page in place.
-    fn scan_page(
-        &mut self,
-        page: u32,
-        evacuate: &[bool],
-        queue: &mut Vec<Word>,
-        fwd_table: &mut HashMap<u64, Word>,
-    ) -> Result<(), GcError> {
+    fn scan_page(&mut self, page: u32) -> Result<(), GcError> {
         let uniform = self.uniform_of_page(page);
         let mut off = 0usize;
         loop {
@@ -360,7 +345,8 @@ impl Heap {
                     1 + header.payload_words() as usize
                 }
             };
-            self.scan_object(w, evacuate, queue, fwd_table)?;
+            self.scan_object(w)?;
+            self.stats.words_scanned_in_place += size as u64;
             off += size;
         }
     }
@@ -438,6 +424,9 @@ mod tests {
         let f0 = h.field(roots[0], 0, "t").unwrap();
         let f1 = h.field(roots[0], 1, "t").unwrap();
         assert_eq!(f0, f1, "sharing must be preserved");
+        assert_eq!(h.stats.objects_copied, 2);
+        assert_eq!(h.stats.bytes_copied, 2 * 3 * WORD_BYTES);
+        assert_eq!(h.stats.words_scanned_in_place, 0);
     }
 
     #[test]
@@ -465,6 +454,24 @@ mod tests {
         let closure_like = pair(&mut h, live, s, Word::int(0));
         h.drop_region(dead);
         let mut roots = [closure_like];
+        let err = h.collect(&mut roots, false).unwrap_err();
+        assert!(matches!(err, GcError::DanglingPointer { .. }));
+    }
+
+    #[test]
+    fn stale_pointer_into_recycled_page_is_detected() {
+        // The dead region's page is recycled by a new region: the page is
+        // live again, but the stale pointer carries the old epoch.
+        let mut h = Heap::new();
+        let live = h.create_region(RegionKind::Infinite);
+        let dead = h.create_region(RegionKind::Infinite);
+        let victim = pair(&mut h, dead, Word::int(1), Word::int(2));
+        let holder = pair(&mut h, live, victim, Word::int(0));
+        h.drop_region(dead);
+        let reuse = h.create_region(RegionKind::Infinite);
+        let fresh = pair(&mut h, reuse, Word::int(3), Word::int(4));
+        assert_eq!(fresh.ptr_parts().0, victim.ptr_parts().0, "page recycled");
+        let mut roots = [holder, fresh];
         let err = h.collect(&mut roots, false).unwrap_err();
         assert!(matches!(err, GcError::DanglingPointer { .. }));
     }
@@ -498,6 +505,8 @@ mod tests {
         // ...but its field was forwarded to the moved target.
         assert_eq!(h.field(t2, 0, "t").unwrap(), Word::int(5));
         assert_eq!(h.region_of(holder, "t").unwrap(), fin);
+        assert_eq!(h.stats.objects_copied, 1, "only the target moves");
+        assert_eq!(h.stats.words_scanned_in_place, 3, "holder: header + 2");
     }
 
     #[test]

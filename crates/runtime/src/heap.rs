@@ -2,6 +2,8 @@
 
 use crate::stats::{GcPause, HeapStats};
 use crate::word::{Header, ObjKind, Word, WORD_BYTES};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Words per (regular) page. Large objects get oversized pages of their
 /// own.
@@ -58,17 +60,24 @@ impl UniformKind {
 
 #[derive(Debug)]
 pub(crate) struct Page {
+    /// The page's words. A released page keeps its buffer (length 0) on
+    /// the free list; [`Heap::fresh_page`] re-zeroes it to the new length.
     pub words: Vec<u64>,
     pub used: usize,
     pub region: RegionId,
     pub epoch: u16,
     pub live: bool,
-    /// Generation stamp: pages allocated after the last collection are
-    /// "young" (used by the generational mode).
-    pub young: bool,
-    /// Sealed pages accept no further allocation (set at collection time
-    /// so one page never mixes generations).
-    pub sealed: bool,
+    /// `stats.gc_count` when the page was handed out. The page is young
+    /// (allocated since the last collection, used by the generational
+    /// mode) and open for allocation until the next collection completes;
+    /// after that it is sealed, so one page never mixes generations.
+    pub born: u64,
+    /// Detached from its region for evacuation by the collection in
+    /// progress (from-space); released when the collection succeeds.
+    pub from_space: bool,
+    /// The verifier walk (`stats.verify_walks`) in which the owning
+    /// region's page list was seen to hold this page.
+    pub listed: u64,
 }
 
 #[derive(Debug)]
@@ -93,7 +102,9 @@ pub struct Heap {
     pub(crate) pages: Vec<Page>,
     free_pages: Vec<u32>,
     pub(crate) regions: Vec<Region>,
-    live_regions: Vec<RegionId>,
+    pub(crate) live_regions: Vec<RegionId>,
+    /// Page lists of dead regions, emptied, for the next regions created.
+    spare_page_lists: Vec<Vec<u32>>,
     /// Statistics.
     pub stats: HeapStats,
     /// One record per collection, in order — the series behind the
@@ -108,6 +119,50 @@ pub struct Heap {
     pub(crate) remembered: Vec<Word>,
     /// Generational mode switch.
     pub generational: bool,
+    /// Work lists of the collector and the verifier, emptied (not freed)
+    /// by each use so that neither allocates once warm.
+    pub(crate) scratch: Scratch,
+}
+
+/// The collector's and the verifier's reusable buffers.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// From-space pages detached by the collection in progress.
+    pub old_pages: Vec<u32>,
+    /// Finite-region pages to scan in place, in page order.
+    pub in_place: Vec<u32>,
+    /// The collector's scan queue; the verifier's trace stack.
+    pub work: Vec<Word>,
+    /// Forwarding table for header-less objects, which cannot hold an
+    /// in-place forwarding marker: from-space word → copy.
+    pub untagged_fwd: HashMap<u64, Word, BuildHasherDefault<WordHasher>>,
+    /// Objects the verifier's trace has visited.
+    pub seen: HashSet<u64, BuildHasherDefault<WordHasher>>,
+    /// The remembered set as a lookup table (generational verification).
+    pub remembered: HashSet<u64, BuildHasherDefault<WordHasher>>,
+}
+
+/// A multiplicative hash for the scratch tables' keys: pointer words the
+/// heap made itself, never input from outside the program, so they need
+/// no protection against crafted collisions. The rotation brings the
+/// product's well-mixed high bits down to the bits that pick a bucket.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// An access error: the paper's dangling pointer, observed at run time.
@@ -144,7 +199,7 @@ impl Heap {
     ) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
         self.regions.push(Region {
-            pages: Vec::new(),
+            pages: self.spare_page_lists.pop().unwrap_or_default(),
             live: true,
             kind,
             uniform,
@@ -166,10 +221,12 @@ impl Heap {
             return;
         }
         region.live = false;
-        let pages = std::mem::take(&mut region.pages);
-        for p in pages {
+        let mut pages = std::mem::take(&mut region.pages);
+        for &p in &pages {
             self.release_page(p);
         }
+        pages.clear();
+        self.spare_page_lists.push(pages);
         // Regions die LIFO, so the search from the back is O(1) in
         // practice; `remove` keeps the creation order.
         if let Some(i) = self.live_regions.iter().rposition(|x| *x == r) {
@@ -177,14 +234,16 @@ impl Heap {
         }
     }
 
+    /// Returns a page to the free list. Its epoch is bumped, so stale
+    /// pointers into it are detectable; its buffer is kept for reuse.
     pub(crate) fn release_page(&mut self, p: u32) {
         let page = &mut self.pages[p as usize];
         page.live = false;
+        page.from_space = false;
         page.epoch = page.epoch.wrapping_add(1);
         page.used = 0;
         self.stats.live_words -= page.words.len() as u64;
         page.words.clear();
-        page.words.shrink_to_fit();
         self.stats.pages_released += 1;
         self.free_pages.push(p);
     }
@@ -206,6 +265,15 @@ impl Heap {
         &self.live_regions
     }
 
+    /// Is the page young: handed out since the last collection?
+    pub(crate) fn young(&self, page: u32) -> bool {
+        self.pages
+            .get(page as usize)
+            .is_some_and(|p| p.born == self.stats.gc_count)
+    }
+
+    /// Hands out a zeroed page of at least `capacity` words, recycling
+    /// the most recently released one.
     fn fresh_page(&mut self, region: RegionId, capacity: usize) -> u32 {
         let idx = match self.free_pages.pop() {
             Some(i) => i,
@@ -218,23 +286,46 @@ impl Heap {
                     region,
                     epoch: 0,
                     live: false,
-                    young: true,
-                    sealed: false,
+                    born: 0,
+                    from_space: false,
+                    listed: 0,
                 });
                 i
             }
         };
         let page = &mut self.pages[idx as usize];
-        page.words = vec![0; capacity.max(PAGE_WORDS)];
+        page.words.resize(capacity.max(PAGE_WORDS), 0);
         page.used = 0;
         page.region = region;
         page.live = true;
-        page.young = true;
-        page.sealed = false;
+        page.born = self.stats.gc_count;
         self.stats.live_words += page.words.len() as u64;
         self.stats.peak_live_words = self.stats.peak_live_words.max(self.stats.live_words);
         self.stats.pages_allocated += 1;
         idx
+    }
+
+    /// Reserves `need` words at the end of region `r`: on its last page
+    /// when that page is open and has room, else on a fresh page. Returns
+    /// the page and the offset of the first reserved word.
+    pub(crate) fn reserve(&mut self, r: RegionId, need: usize) -> (u32, usize) {
+        let page_idx = match self.regions[r.0 as usize].pages.last() {
+            Some(&p)
+                if self.young(p)
+                    && self.pages[p as usize].used + need <= self.pages[p as usize].words.len() =>
+            {
+                p
+            }
+            _ => {
+                let p = self.fresh_page(r, need);
+                self.regions[r.0 as usize].pages.push(p);
+                p
+            }
+        };
+        let page = &mut self.pages[page_idx as usize];
+        let off = page.used;
+        page.used += need;
+        (page_idx, off)
     }
 
     /// Allocates an object of `kind` with the given payload; `raw` leading
@@ -289,28 +380,14 @@ impl Heap {
             .map(|u| u.obj_kind() == header.kind && u.words() == payload.len())
             .unwrap_or(false);
         let need = payload.len() + if untagged { 0 } else { 1 };
-        let page_idx = match region.pages.last() {
-            Some(&p)
-                if !self.pages[p as usize].sealed
-                    && self.pages[p as usize].used + need <= self.pages[p as usize].words.len() =>
-            {
-                p
-            }
-            _ => {
-                let p = self.fresh_page(r, need);
-                self.regions[r.0 as usize].pages.push(p);
-                p
-            }
-        };
+        let (page_idx, off) = self.reserve(r, need);
         let page = &mut self.pages[page_idx as usize];
-        let off = page.used;
         if untagged {
             page.words[off..off + need].copy_from_slice(payload);
         } else {
             page.words[off] = header.encode();
             page.words[off + 1..off + need].copy_from_slice(payload);
         }
-        page.used += need;
         let bytes = need as u64 * WORD_BYTES;
         self.regions[r.0 as usize].bytes += bytes;
         self.regions[r.0 as usize].objects += 1;
@@ -402,16 +479,8 @@ impl Heap {
             .get_mut(off as usize + skip + i)
             .ok_or(DanglingAccess { context })?;
         *slot = v.0;
-        if self.generational && !self.pages[page as usize].young && v.is_pointer() {
-            let (vp, _, _) = v.ptr_parts();
-            if self
-                .pages
-                .get(vp as usize)
-                .map(|p| p.young)
-                .unwrap_or(false)
-            {
-                self.remembered.push(w);
-            }
+        if self.generational && !self.young(page) && v.is_pointer() && self.young(v.ptr_parts().0) {
+            self.remembered.push(w);
         }
         Ok(())
     }
@@ -507,6 +576,40 @@ mod tests {
         assert_eq!(p1, p2, "page should be recycled");
         assert!(h.field(w1, 0, "t").is_err(), "stale epoch must be caught");
         assert_eq!(h.field(w2, 0, "t").unwrap(), Word::int(2));
+        let page = &h.pages[p2 as usize];
+        assert!(page.words[page.used..].iter().all(|&w| w == 0), "re-zeroed");
+    }
+
+    #[test]
+    fn recycled_oversized_page_counts_its_new_length() {
+        let mut h = Heap::new();
+        let big = h.create_region(RegionKind::Infinite);
+        let w = h.alloc(
+            big,
+            ObjKind::Closure,
+            0,
+            &vec![Word::int(7).0; PAGE_WORDS * 3],
+        );
+        let words = PAGE_WORDS as u64 * 3 + 1;
+        assert_eq!(h.live_words(), words);
+        h.drop_region(big);
+        assert_eq!(h.live_words(), 0);
+        // The oversized buffer comes back as a regular page.
+        let r = h.create_region(RegionKind::Infinite);
+        let small = h.alloc(r, ObjKind::Ref, 0, &[Word::int(1).0]);
+        assert_eq!(small.ptr_parts().0, w.ptr_parts().0, "page recycled");
+        assert_eq!(
+            h.pages[small.ptr_parts().0 as usize].words.len(),
+            PAGE_WORDS
+        );
+        assert_eq!(h.live_words(), PAGE_WORDS as u64);
+        // Filling it spills onto a second regular page.
+        for _ in 0..PAGE_WORDS / 2 {
+            h.alloc(r, ObjKind::Ref, 0, &[Word::int(2).0]);
+        }
+        assert_eq!(h.live_words(), 2 * PAGE_WORDS as u64);
+        assert_eq!(h.stats.peak_live_words, words);
+        assert_eq!(h.field(small, 0, "t").unwrap(), Word::int(1));
     }
 
     #[test]

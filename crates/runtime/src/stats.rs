@@ -21,6 +21,11 @@ pub struct HeapStats {
     pub minor_gc_count: u64,
     /// Bytes copied by the collector.
     pub bytes_copied: u64,
+    /// Objects copied by the collector.
+    pub objects_copied: u64,
+    /// Words of finite-region objects the collector scanned in place
+    /// (never moved, fields forwarded).
+    pub words_scanned_in_place: u64,
     /// Regions ever created.
     pub regions_created: u64,
     /// Peak number of simultaneously live regions.

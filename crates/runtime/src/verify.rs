@@ -24,9 +24,8 @@
 //! Violations come back as a structured [`HeapInvariantError`] naming the
 //! object, region, and offending edge — never a panic.
 
-use crate::heap::{Heap, RegionKind};
+use crate::heap::{Heap, RegionId, RegionKind, Scratch};
 use crate::word::{Header, ObjKind, Word};
-use std::collections::HashSet;
 
 /// What went wrong, in detail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +189,34 @@ impl Heap {
     /// The first violation found, as a located [`HeapInvariantError`].
     pub fn verify(&mut self, roots: &[Word]) -> Result<VerifyReport, HeapInvariantError> {
         self.stats.verify_walks += 1;
+        let walk = self.stats.verify_walks;
+
+        // Stamp every page its owner's page list holds, so the page walk
+        // checks ownership without searching the lists.
+        for r in &self.live_regions {
+            for &p in &self.regions[r.0 as usize].pages {
+                if let Some(page) = self.pages.get_mut(p as usize) {
+                    if page.region == *r {
+                        page.listed = walk;
+                    }
+                }
+            }
+        }
+
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let audited = self.audit(roots, walk, &mut scratch);
+        self.scratch = scratch;
+        audited
+    }
+
+    /// The read-only part of [`Heap::verify`], with the heap's work lists
+    /// borrowed out.
+    fn audit(
+        &self,
+        roots: &[Word],
+        walk: u64,
+        scratch: &mut Scratch,
+    ) -> Result<VerifyReport, HeapInvariantError> {
         let mut report = VerifyReport::default();
 
         // ---- Structural walk: every live page, reachable or not. ----
@@ -213,7 +240,7 @@ impl Heap {
             if !region.live {
                 return Err(err(InvariantKind::DeadRegionPage));
             }
-            if !region.pages.contains(&(pi as u32)) {
+            if page.listed != walk {
                 return Err(err(InvariantKind::PageNotInRegion));
             }
             if page.used > page.words.len() {
@@ -265,22 +292,20 @@ impl Heap {
 
         // Region-side bookkeeping: page lists must point at live pages
         // that agree on the owner, and finite bounds must hold.
-        for (ri, region) in self.regions.iter().enumerate() {
-            if !region.live {
-                continue;
-            }
+        for &RegionId(ri) in &self.live_regions {
+            let region = &self.regions[ri as usize];
             for &p in &region.pages {
                 let ok = self
                     .pages
                     .get(p as usize)
-                    .map(|pg| pg.live && pg.region.0 == ri as u32)
+                    .map(|pg| pg.live && pg.region.0 == ri)
                     .unwrap_or(false);
                 if !ok {
                     return Err(HeapInvariantError {
                         kind: InvariantKind::PageNotInRegion,
                         page: p,
                         offset: 0,
-                        region: ri as u32,
+                        region: ri,
                     });
                 }
             }
@@ -294,7 +319,7 @@ impl Heap {
                             },
                             page: region.pages.first().copied().unwrap_or(0),
                             offset: 0,
-                            region: ri as u32,
+                            region: ri,
                         });
                     }
                 }
@@ -302,7 +327,8 @@ impl Heap {
         }
 
         // ---- Reachability trace: roots + finite-region objects. ----
-        let mut stack: Vec<Word> = Vec::new();
+        let stack = &mut scratch.work;
+        stack.clear();
         for &w in roots {
             if !w.is_pointer() {
                 continue;
@@ -324,8 +350,9 @@ impl Heap {
         }
         // Finite regions are implicit roots (the collector scans them in
         // place); enumerate their objects.
-        for region in &self.regions {
-            if !region.live || region.kind != RegionKind::Finite {
+        for r in &self.live_regions {
+            let region = &self.regions[r.0 as usize];
+            if region.kind != RegionKind::Finite {
                 continue;
             }
             for &p in &region.pages {
@@ -355,14 +382,13 @@ impl Heap {
             }
         }
 
-        let mut visited: HashSet<u64> = HashSet::new();
-        let remembered: Option<HashSet<u64>> = if self.generational {
-            Some(self.remembered.iter().map(|w| w.0).collect())
-        } else {
-            None
-        };
+        let seen = &mut scratch.seen;
+        seen.clear();
+        let remembered = &mut scratch.remembered;
+        remembered.clear();
+        remembered.extend(self.remembered.iter().map(|w| w.0));
         while let Some(obj) = stack.pop() {
-            if !visited.insert(obj.0) {
+            if !seen.insert(obj.0) {
                 continue;
             }
             report.objects_checked += 1;
@@ -382,7 +408,7 @@ impl Heap {
                 }
             };
             let rid = self.pages[page as usize].region.0;
-            let obj_young = self.pages[page as usize].young;
+            let obj_young = self.young(page);
             let (start, end, skip) = match self.uniform_of_page(page) {
                 Some(u) => (0, u.words(), 0usize),
                 None => {
@@ -431,18 +457,17 @@ impl Heap {
                         region: rid,
                     });
                 }
-                if let Some(rem) = &remembered {
-                    if !obj_young && self.pages[tp as usize].young && !rem.contains(&obj.0) {
-                        return Err(HeapInvariantError {
-                            kind: InvariantKind::UnrememberedOldYoungEdge {
-                                field: i,
-                                target_page: tp,
-                            },
-                            page,
-                            offset: off,
-                            region: rid,
-                        });
-                    }
+                if self.generational && !obj_young && self.young(tp) && !remembered.contains(&obj.0)
+                {
+                    return Err(HeapInvariantError {
+                        kind: InvariantKind::UnrememberedOldYoungEdge {
+                            field: i,
+                            target_page: tp,
+                        },
+                        page,
+                        offset: off,
+                        region: rid,
+                    });
                 }
                 stack.push(field);
             }
@@ -516,6 +541,24 @@ mod tests {
         assert!(err.is_dangling());
         let msg = err.to_string();
         assert!(msg.contains("reachable edge dangles"), "{msg}");
+    }
+
+    #[test]
+    fn dangling_field_into_recycled_page_detected() {
+        let mut h = Heap::new();
+        let live = h.create_region(RegionKind::Infinite);
+        let dead = h.create_region(RegionKind::Infinite);
+        let victim = pair(&mut h, dead, Word::int(1), Word::int(2));
+        let holder = pair(&mut h, live, victim, Word::int(0));
+        h.drop_region(dead);
+        let reuse = h.create_region(RegionKind::Infinite);
+        let fresh = pair(&mut h, reuse, Word::int(3), Word::int(4));
+        assert_eq!(fresh.ptr_parts().0, victim.ptr_parts().0, "page recycled");
+        let err = h.verify(&[holder, fresh]).unwrap_err();
+        assert!(matches!(
+            err.kind,
+            InvariantKind::DanglingField { field: 0, target_page } if target_page == victim.ptr_parts().0
+        ));
     }
 
     #[test]

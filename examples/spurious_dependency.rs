@@ -12,6 +12,7 @@
 //! ```
 
 use rml::{compile, execute, ExecOpts, Strategy};
+use rml_eval::{GcPolicy, RunError};
 
 const FIGURE8: &str = r#"
 fun compose (f, g) = fn a => f (g a)
@@ -43,17 +44,25 @@ fn main() {
         c.output.stats.spurious_fn_names
     );
 
+    // The program allocates too little for the default policy to ever
+    // collect, so both runs collect at every machine step: a dangling
+    // pointer is traced as soon as it is reachable.
+    let opts = ExecOpts {
+        gc: Some(GcPolicy::stress_every_step(0)),
+        ..ExecOpts::default()
+    };
     rml::check(&c).expect("GC-safe");
-    let out = execute(&c, &ExecOpts::default()).expect("run failed");
+    let out = execute(&c, &opts).expect("run failed");
     println!(
-        "\nresult: {} after {} collections — safe.",
+        "\nresult: {} after {} collections (one per step) — safe.",
         out.value, out.stats.gc_count
     );
 
     println!("\nUnder rg- the same program crashes the collector:");
     let bad = compile(FIGURE8, Strategy::RgMinus).unwrap();
-    match execute(&bad, &ExecOpts::default()) {
-        Ok(_) => println!("  (unexpectedly survived)"),
-        Err(e) => println!("  {e}"),
+    match execute(&bad, &opts) {
+        Ok(out) => panic!("rg- survived {} collections", out.stats.gc_count),
+        Err(e @ RunError::Dangling(_)) => println!("  {e}"),
+        Err(e) => panic!("rg- failed without a dangling pointer: {e}"),
     }
 }

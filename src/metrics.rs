@@ -125,6 +125,11 @@ impl MetricsSnapshot {
                     ("gc_count", Json::UInt(self.heap.gc_count)),
                     ("minor_gc_count", Json::UInt(self.heap.minor_gc_count)),
                     ("bytes_copied", Json::UInt(self.heap.bytes_copied)),
+                    ("objects_copied", Json::UInt(self.heap.objects_copied)),
+                    (
+                        "words_scanned_in_place",
+                        Json::UInt(self.heap.words_scanned_in_place),
+                    ),
                     ("regions_created", Json::UInt(self.heap.regions_created)),
                     ("peak_regions", Json::UInt(self.heap.peak_regions)),
                     ("forced_gcs", Json::UInt(self.heap.forced_gcs)),
@@ -224,7 +229,16 @@ mod tests {
         let out = crate::pipeline::execute(&c, &crate::ExecOpts::default()).unwrap();
         let m = MetricsSnapshot::new(&c.timings, c.output.store_stats, &out);
         let json = m.to_json().render();
-        for key in ["phases_us", "store", "heap", "steps", "gc_pauses", "p99_us"] {
+        for key in [
+            "phases_us",
+            "store",
+            "heap",
+            "steps",
+            "gc_pauses",
+            "p99_us",
+            "objects_copied",
+            "words_scanned_in_place",
+        ] {
             assert!(
                 json.contains(&format!("\"{key}\"")),
                 "missing {key}: {json}"
