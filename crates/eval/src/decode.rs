@@ -137,7 +137,6 @@ fn decode_at(heap: &Heap, w: Word, depth: usize) -> RunValue {
                 .unwrap_or("<unknown>");
             RunValue::Exn(name.to_string())
         }
-        ObjKind::Forward => RunValue::Opaque,
     }
 }
 

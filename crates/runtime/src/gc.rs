@@ -17,9 +17,9 @@
 //! collection ("young" pages), using the write-barrier-maintained
 //! remembered set for old-to-young pointers.
 
-use crate::heap::{Heap, RegionId, RegionKind};
+use crate::heap::{Heap, Layout, RegionId, RegionKind};
 use crate::stats::GcPause;
-use crate::word::{Header, ObjKind, Word, WORD_BYTES};
+use crate::word::{Word, WORD_BYTES};
 use rml_session::trace;
 use std::time::Instant;
 
@@ -31,11 +31,12 @@ pub enum GcError {
         /// Where the pointer was found.
         context: &'static str,
     },
-    /// A header word failed to decode (heap corruption; indicates a
-    /// runtime bug). Carries the failing word and where it was found so
-    /// the diagnostic names the object instead of a bare "corruption".
+    /// A header word failed to decode, or an object outside from-space
+    /// holds a forwarding word (heap corruption; indicates a runtime bug).
+    /// Carries the failing word and where it was found so the diagnostic
+    /// names the object instead of a bare "corruption".
     Corrupt {
-        /// The undecodable header word.
+        /// The offending first word.
         word: u64,
         /// Page the word was read from.
         page: u32,
@@ -166,7 +167,6 @@ impl Heap {
     /// scans the finite regions' pages in place and drains the queue.
     fn trace_live(&mut self, roots: &mut [Word], minor: bool) -> Result<(), GcError> {
         self.scratch.work.clear();
-        self.scratch.untagged_fwd.clear();
         for w in roots.iter_mut() {
             *w = self.forward(*w, "root")?;
         }
@@ -174,8 +174,8 @@ impl Heap {
         if minor {
             for &obj in &remembered {
                 // The object itself is old (not moved); fix its fields.
-                if self.check_ptr(obj, "remembered").is_ok() {
-                    self.scan_object(obj)?;
+                if let Ok((page, off)) = self.check_ptr(obj, "remembered") {
+                    self.scan_fields(page, off as usize)?;
                 }
             }
         }
@@ -202,15 +202,19 @@ impl Heap {
         let scanned = in_place.iter().try_for_each(|&p| self.scan_page(p));
         self.scratch.in_place = in_place;
         scanned?;
-        while let Some(obj) = self.scratch.work.pop() {
-            self.scan_object(obj)?;
+        while let Some(copy) = self.scratch.work.pop() {
+            let (page, off) = self
+                .check_ptr(copy, "scan")
+                .map_err(|_| GcError::DanglingPointer { context: "scan" })?;
+            self.scan_fields(page, off as usize)?;
         }
         Ok(())
     }
 
     /// Forwards one word: immediates pass through; pointers into
     /// non-evacuated pages pass through; pointers into evacuated pages are
-    /// copied (once) to fresh pages of their region.
+    /// copied (once) to fresh pages of their region, and the original's
+    /// first word becomes a forwarding word to the copy.
     fn forward(&mut self, w: Word, context: &'static str) -> Result<Word, GcError> {
         if !w.is_pointer() {
             return Ok(w);
@@ -233,41 +237,16 @@ impl Heap {
             return Ok(w);
         }
         let region = p.region;
-        if let Some(u) = self.uniform_of_page(page) {
-            // Untagged object: side-table forwarding.
-            if let Some(new) = self.scratch.untagged_fwd.get(&w.0) {
-                return Ok(*new);
+        let off = off as usize;
+        match self.layout(page, off) {
+            Layout::Forwarded(copy) => Ok(copy),
+            Layout::Undecodable(word) => Err(self.corrupt(word, page, off)),
+            Layout::Object { size, .. } => {
+                let copy = self.copy_object(region, page, off, size);
+                self.pages[page as usize].words[off] = Word::forwarding(copy).0;
+                Ok(copy)
             }
-            let new = self.copy_object(region, page, off as usize, u.words());
-            self.scratch.untagged_fwd.insert(w.0, new);
-            return Ok(new);
         }
-        let header_word = p.words[off as usize];
-        let header = Header::decode(header_word).ok_or(GcError::Corrupt {
-            word: header_word,
-            page,
-            offset: off,
-            region: region.0,
-        })?;
-        if header.kind == ObjKind::Forward {
-            return Ok(Word(p.words[off as usize + 1]));
-        }
-        let new = self.copy_object(
-            region,
-            page,
-            off as usize,
-            1 + header.payload_words() as usize,
-        );
-        // Leave a forwarding marker.
-        let p = &mut self.pages[page as usize];
-        p.words[off as usize] = Header {
-            kind: ObjKind::Forward,
-            len: header.len,
-            raw: header.raw,
-        }
-        .encode();
-        p.words[off as usize + 1] = new.0;
-        Ok(new)
     }
 
     /// Copies the `need`-word object at `src`/`off` (header included,
@@ -289,65 +268,44 @@ impl Heap {
         new
     }
 
-    /// Scans the traceable fields of one (already copied or in-place)
-    /// object.
-    fn scan_object(&mut self, obj: Word) -> Result<(), GcError> {
-        let (page, off) = self
-            .check_ptr(obj, "scan")
-            .map_err(|_| GcError::DanglingPointer { context: "scan" })?;
-        let (start, end, skip) = match self.uniform_of_page(page) {
-            Some(u) => (0, u.words(), 0),
-            None => {
-                let word = self.pages[page as usize].words[off as usize];
-                let header = Header::decode(word).ok_or(GcError::Corrupt {
-                    word,
-                    page,
-                    offset: off,
-                    region: self.pages[page as usize].region.0,
-                })?;
-                if header.kind == ObjKind::Str {
-                    return Ok(());
-                }
-                (header.raw as usize, header.len as usize, 1)
-            }
+    /// Forwards the traced fields of the object at `off` on `page`, which
+    /// is not being evacuated; returns the object's size in words.
+    fn scan_fields(&mut self, page: u32, off: usize) -> Result<usize, GcError> {
+        let Layout::Object {
+            size,
+            payload,
+            traced,
+        } = self.layout(page, off)
+        else {
+            // Undecodable, or forwarded outside from-space.
+            return Err(self.corrupt(self.pages[page as usize].words[off], page, off));
         };
-        for i in start..end {
-            let field = Word(self.pages[page as usize].words[off as usize + skip + i]);
+        for at in traced.start + payload..traced.end + payload {
+            let field = Word(self.pages[page as usize].words[at]);
             let fwd = self.forward(field, "object field")?;
-            self.pages[page as usize].words[off as usize + skip + i] = fwd.0;
+            self.pages[page as usize].words[at] = fwd.0;
         }
-        Ok(())
+        Ok(size)
     }
 
     /// Scans every object of a page in place.
     fn scan_page(&mut self, page: u32) -> Result<(), GcError> {
-        let uniform = self.uniform_of_page(page);
-        let mut off = 0usize;
-        loop {
-            let (used, epoch) = {
-                let p = &self.pages[page as usize];
-                (p.used, p.epoch)
-            };
-            if off >= used {
-                return Ok(());
-            }
-            let w = Word::pointer(page, off as u32, epoch);
-            let size = match uniform {
-                Some(u) => u.words(),
-                None => {
-                    let word = self.pages[page as usize].words[off];
-                    let header = Header::decode(word).ok_or(GcError::Corrupt {
-                        word,
-                        page,
-                        offset: off as u32,
-                        region: self.pages[page as usize].region.0,
-                    })?;
-                    1 + header.payload_words() as usize
-                }
-            };
-            self.scan_object(w)?;
+        let mut off = 0;
+        while off < self.pages[page as usize].used {
+            let size = self.scan_fields(page, off)?;
             self.stats.words_scanned_in_place += size as u64;
             off += size;
+        }
+        Ok(())
+    }
+
+    /// A [`GcError::Corrupt`] for the object whose first word is `word`.
+    fn corrupt(&self, word: u64, page: u32, off: usize) -> GcError {
+        GcError::Corrupt {
+            word,
+            page,
+            offset: off as u32,
+            region: self.pages[page as usize].region.0,
         }
     }
 }
@@ -356,6 +314,7 @@ impl Heap {
 mod tests {
     use super::*;
     use crate::heap::{Heap, RegionKind};
+    use crate::word::ObjKind;
 
     fn pair(h: &mut Heap, r: crate::heap::RegionId, a: Word, b: Word) -> Word {
         h.alloc(r, ObjKind::Pair, 0, &[a.0, b.0])
@@ -396,11 +355,11 @@ mod tests {
 
     #[test]
     fn empty_string_forwards_without_clobbering_neighbor() {
-        // Regression: a zero-byte string must still occupy two words
-        // (header + pad), or the in-place forwarding marker written when
-        // it is evacuated spills its pointer word over the next object's
-        // header. Found by the differential torture oracle (`strings`
-        // program, baseline × stress-every-step).
+        // Regression: evacuating a zero-byte string once spilled the
+        // collector's forwarding marker, then two words, over the next
+        // object's header. Found by the differential torture oracle
+        // (`strings` program, baseline × stress-every-step). The marker
+        // is now one word; the string keeps its one-word pad.
         let mut h = Heap::new();
         let r = h.create_region(RegionKind::Infinite);
         let empty = h.alloc_str(r, "");
@@ -578,6 +537,7 @@ mod tests {
 mod untagged_tests {
     use super::*;
     use crate::heap::{Heap, RegionKind, UniformKind};
+    use crate::word::ObjKind;
 
     #[test]
     fn untagged_pairs_save_the_header_word() {
@@ -612,9 +572,34 @@ mod untagged_tests {
         h.collect(&mut roots, false).unwrap();
         let a = h.field(roots[0], 0, "t").unwrap();
         let b = h.field(roots[0], 1, "t").unwrap();
-        assert_eq!(a, b, "side-table forwarding must preserve sharing");
+        assert_eq!(a, b, "the forwarding word must preserve sharing");
         assert_eq!(h.field(a, 0, "t").unwrap(), Word::int(1));
         assert_eq!(h.region_of(a, "t").unwrap(), u, "region identity");
+        assert_eq!(h.stats.objects_copied, 2);
+        assert_eq!(h.stats.bytes_copied, 40, "3-word holder + 2-word pair");
+    }
+
+    #[test]
+    fn one_word_untagged_refs_forward_in_place() {
+        // A header-less ref is one word: the forwarding word replaces the
+        // whole object, and must not spill onto its neighbour.
+        let mut h = Heap::new();
+        let tagged = h.create_region(RegionKind::Infinite);
+        let u = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Ref));
+        let shared = h.alloc(u, ObjKind::Ref, 0, &[Word::int(5).0]);
+        let me = h.alloc(u, ObjKind::Ref, 0, &[Word::UNIT.0]);
+        h.set_field(me, 0, me, "t").unwrap();
+        let holder = h.alloc(tagged, ObjKind::Pair, 0, &[shared.0, shared.0]);
+        let mut roots = [holder, me];
+        h.collect(&mut roots, false).unwrap();
+        h.verify(&roots).unwrap();
+        let a = h.field(roots[0], 0, "t").unwrap();
+        assert_eq!(h.field(roots[0], 1, "t").unwrap(), a, "sharing");
+        assert_eq!(h.field(a, 0, "t").unwrap(), Word::int(5));
+        assert_ne!(roots[1], me, "moved");
+        assert_eq!(h.field(roots[1], 0, "t").unwrap(), roots[1], "self-loop");
+        assert_eq!(h.stats.objects_copied, 3);
+        assert_eq!(h.stats.bytes_copied, 40, "3-word holder + two 1-word refs");
     }
 
     #[test]

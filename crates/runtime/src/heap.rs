@@ -2,8 +2,9 @@
 
 use crate::stats::{GcPause, HeapStats};
 use crate::word::{Header, ObjKind, Word, WORD_BYTES};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Words per (regular) page. Large objects get oversized pages of their
 /// own.
@@ -133,13 +134,29 @@ pub(crate) struct Scratch {
     pub in_place: Vec<u32>,
     /// The collector's scan queue; the verifier's trace stack.
     pub work: Vec<Word>,
-    /// Forwarding table for header-less objects, which cannot hold an
-    /// in-place forwarding marker: from-space word → copy.
-    pub untagged_fwd: HashMap<u64, Word, BuildHasherDefault<WordHasher>>,
     /// Objects the verifier's trace has visited.
     pub seen: HashSet<u64, BuildHasherDefault<WordHasher>>,
     /// The remembered set as a lookup table (generational verification).
     pub remembered: HashSet<u64, BuildHasherDefault<WordHasher>>,
+}
+
+/// An object's layout as the collector and the verifier see it, read
+/// from its first word and its page's region ([`Heap::layout`]).
+#[derive(Debug)]
+pub(crate) enum Layout {
+    /// An object of `size` words, header included. Payload word `i` is at
+    /// page offset `payload + i`; the collector traces payload words
+    /// `traced`.
+    Object {
+        size: usize,
+        payload: usize,
+        traced: Range<usize>,
+    },
+    /// An evacuated object: its first word is a forwarding word, and this
+    /// is the copy.
+    Forwarded(Word),
+    /// A tagged object whose header does not decode.
+    Undecodable(u64),
 }
 
 /// A multiplicative hash for the scratch tables' keys: pointer words the
@@ -255,11 +272,6 @@ impl Heap {
         self.regions[r.0 as usize].bound = Some(bound);
     }
 
-    /// Is the region live?
-    pub fn region_live(&self, r: RegionId) -> bool {
-        self.regions[r.0 as usize].live
-    }
-
     /// The live regions, in creation order.
     pub fn live_regions(&self) -> &[RegionId] {
         &self.live_regions
@@ -347,9 +359,10 @@ impl Heap {
     /// Allocates a string.
     pub fn alloc_str(&mut self, r: RegionId, s: &str) -> Word {
         let bytes = s.as_bytes();
-        // Pad to at least one payload word so the object can hold the
-        // collector's two-word forwarding marker (`Header::payload_words`
-        // applies the same floor when tiling pages).
+        // Pad to at least one payload word, as `Header::payload_words`
+        // does when tiling pages: not for the collector (its forwarding
+        // word fits in the header) but to keep the allocated and peak
+        // byte counts of programs that allocate `""`.
         let words = bytes.len().div_ceil(8).max(1);
         let mut payload = vec![0u64; words];
         for (i, b) in bytes.iter().enumerate() {
@@ -414,6 +427,36 @@ impl Heap {
     /// The uniform layout of the object's region, if untagged.
     pub(crate) fn uniform_of_page(&self, page: u32) -> Option<UniformKind> {
         self.regions[self.pages[page as usize].region.0 as usize].uniform
+    }
+
+    /// The layout of the object at `off` on `page` (which the caller has
+    /// checked), for the collector and the verifier. A forwarding word is
+    /// recognised by its tag before the region's layout is consulted, so
+    /// tagged and header-less objects forward alike.
+    pub(crate) fn layout(&self, page: u32, off: usize) -> Layout {
+        let first = Word(self.pages[page as usize].words[off]);
+        if let Some(copy) = first.forwarded() {
+            return Layout::Forwarded(copy);
+        }
+        if let Some(u) = self.uniform_of_page(page) {
+            return Layout::Object {
+                size: u.words(),
+                payload: off,
+                traced: 0..u.words(),
+            };
+        }
+        let Some(h) = Header::decode(first.0) else {
+            return Layout::Undecodable(first.0);
+        };
+        let traced = match h.kind {
+            ObjKind::Str => 0..0,
+            _ => h.raw as usize..h.len as usize,
+        };
+        Layout::Object {
+            size: 1 + h.payload_words() as usize,
+            payload: off + 1,
+            traced,
+        }
     }
 
     /// Reads an object's header (synthesised for untagged regions).
@@ -669,7 +712,8 @@ mod more_tests {
         h.alloc(r, ObjKind::Pair, 0, &[0, 0]);
         h.drop_region(r);
         h.drop_region(r); // no panic, no double-free
-        assert!(!h.region_live(r));
+        assert!(h.live_regions().is_empty());
+        assert_eq!(h.stats.pages_released, 1);
     }
 
     #[test]

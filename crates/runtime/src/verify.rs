@@ -6,8 +6,9 @@
 //!
 //! * every live page is owned by a live region and the region's page list
 //!   agrees (no orphaned or stolen pages),
-//! * every object header on a tagged page decodes and the objects tile
-//!   the page exactly (no overruns, no undecodable words),
+//! * every object header on a tagged page decodes, no object's first word
+//!   is a forwarding word, and the objects tile the page exactly (no
+//!   overruns, no undecodable words),
 //! * finite regions hold at most their multiplicity-proven bound,
 //! * every pointer *reachable from the roots* lands in a live page of a
 //!   live region with a matching epoch (the paper's GC-safety invariant:
@@ -24,8 +25,9 @@
 //! Violations come back as a structured [`HeapInvariantError`] naming the
 //! object, region, and offending edge — never a panic.
 
-use crate::heap::{Heap, RegionId, RegionKind, Scratch};
-use crate::word::{Header, ObjKind, Word};
+use crate::heap::{Heap, Layout, RegionId, RegionKind, Scratch};
+use crate::word::Word;
+use std::ops::Range;
 
 /// What went wrong, in detail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,10 +37,11 @@ pub enum InvariantKind {
         /// The undecodable word.
         word: u64,
     },
-    /// A forwarding marker survived in a live page after collection
-    /// finished (from-space leaked into to-space).
+    /// A forwarding word survived in a live page after collection
+    /// finished (from-space leaked into to-space): as an object's first
+    /// word, or in a reachable field.
     StaleForwarding {
-        /// The forwarding header word.
+        /// The forwarding word.
         word: u64,
     },
     /// An object extends past the page's used extent, or a uniform page's
@@ -123,7 +126,7 @@ impl std::fmt::Display for HeapInvariantError {
                 write!(f, "undecodable header {word:#018x} for {at}")
             }
             InvariantKind::StaleForwarding { word } => {
-                write!(f, "stale forwarding marker {word:#018x} reachable at {at}")
+                write!(f, "stale forwarding word {word:#018x} in {at}")
             }
             InvariantKind::ObjectOverrunsPage { need, used } => write!(
                 f,
@@ -249,44 +252,23 @@ impl Heap {
                     used: page.words.len(),
                 }));
             }
-            match region.uniform {
-                Some(u) => {
-                    // Untagged page: the extent must tile into whole
-                    // objects.
-                    if !page.used.is_multiple_of(u.words()) {
-                        return Err(err(InvariantKind::ObjectOverrunsPage {
-                            need: u.words(),
-                            used: page.used,
-                        }));
-                    }
-                    report.objects_checked += (page.used / u.words()) as u64;
+            let mut off = 0usize;
+            while off < page.used {
+                let at = |kind| HeapInvariantError {
+                    kind,
+                    page: pi as u32,
+                    offset: off as u32,
+                    region: rid,
+                };
+                let (need, ..) = object(self.layout(pi as u32, off)).map_err(at)?;
+                if off + need > page.used {
+                    return Err(at(InvariantKind::ObjectOverrunsPage {
+                        need,
+                        used: page.used,
+                    }));
                 }
-                None => {
-                    let mut off = 0usize;
-                    while off < page.used {
-                        let word = page.words[off];
-                        let header = Header::decode(word).ok_or(HeapInvariantError {
-                            kind: InvariantKind::BadHeader { word },
-                            page: pi as u32,
-                            offset: off as u32,
-                            region: rid,
-                        })?;
-                        let need = 1 + header.payload_words() as usize;
-                        if off + need > page.used {
-                            return Err(HeapInvariantError {
-                                kind: InvariantKind::ObjectOverrunsPage {
-                                    need,
-                                    used: page.used,
-                                },
-                                page: pi as u32,
-                                offset: off as u32,
-                                region: rid,
-                            });
-                        }
-                        report.objects_checked += 1;
-                        off += need;
-                    }
-                }
+                report.objects_checked += 1;
+                off += need;
             }
         }
 
@@ -357,27 +339,14 @@ impl Heap {
             }
             for &p in &region.pages {
                 let page = &self.pages[p as usize];
-                let epoch = page.epoch;
-                match region.uniform {
-                    Some(u) => {
-                        let mut off = 0usize;
-                        while off < page.used {
-                            stack.push(Word::pointer(p, off as u32, epoch));
-                            off += u.words();
-                        }
-                    }
-                    None => {
-                        let mut off = 0usize;
-                        while off < page.used {
-                            // Headers were validated structurally above.
-                            let header = match Header::decode(page.words[off]) {
-                                Some(h) => h,
-                                None => break,
-                            };
-                            stack.push(Word::pointer(p, off as u32, epoch));
-                            off += 1 + header.payload_words() as usize;
-                        }
-                    }
+                let mut off = 0usize;
+                while off < page.used {
+                    // The structural walk above validated every object.
+                    let Ok((size, ..)) = object(self.layout(p, off)) else {
+                        break;
+                    };
+                    stack.push(Word::pointer(p, off as u32, page.epoch));
+                    off += size;
                 }
             }
         }
@@ -409,33 +378,19 @@ impl Heap {
             };
             let rid = self.pages[page as usize].region.0;
             let obj_young = self.young(page);
-            let (start, end, skip) = match self.uniform_of_page(page) {
-                Some(u) => (0, u.words(), 0usize),
-                None => {
-                    let word = self.pages[page as usize].words[off as usize];
-                    let header = Header::decode(word).ok_or(HeapInvariantError {
-                        kind: InvariantKind::BadHeader { word },
-                        page,
-                        offset: off,
-                        region: rid,
-                    })?;
-                    match header.kind {
-                        ObjKind::Forward => {
-                            return Err(HeapInvariantError {
-                                kind: InvariantKind::StaleForwarding { word },
-                                page,
-                                offset: off,
-                                region: rid,
-                            });
-                        }
-                        ObjKind::Str => continue,
-                        _ => (header.raw as usize, header.len as usize, 1usize),
-                    }
-                }
+            let err = |kind| HeapInvariantError {
+                kind,
+                page,
+                offset: off,
+                region: rid,
             };
-            for i in start..end {
-                let field = Word(self.pages[page as usize].words[off as usize + skip + i]);
+            let (_, payload, traced) = object(self.layout(page, off as usize)).map_err(err)?;
+            for i in traced {
+                let field = Word(self.pages[page as usize].words[payload + i]);
                 if !field.is_pointer() {
+                    if field.forwarded().is_some() {
+                        return Err(err(InvariantKind::StaleForwarding { word: field.0 }));
+                    }
                     continue;
                 }
                 report.edges_traced += 1;
@@ -447,27 +402,17 @@ impl Heap {
                         .map(|p| self.regions[p.region.0 as usize].live)
                         .unwrap_or(false);
                 if !target_ok {
-                    return Err(HeapInvariantError {
-                        kind: InvariantKind::DanglingField {
-                            field: i,
-                            target_page: tp,
-                        },
-                        page,
-                        offset: off,
-                        region: rid,
-                    });
+                    return Err(err(InvariantKind::DanglingField {
+                        field: i,
+                        target_page: tp,
+                    }));
                 }
                 if self.generational && !obj_young && self.young(tp) && !remembered.contains(&obj.0)
                 {
-                    return Err(HeapInvariantError {
-                        kind: InvariantKind::UnrememberedOldYoungEdge {
-                            field: i,
-                            target_page: tp,
-                        },
-                        page,
-                        offset: off,
-                        region: rid,
-                    });
+                    return Err(err(InvariantKind::UnrememberedOldYoungEdge {
+                        field: i,
+                        target_page: tp,
+                    }));
                 }
                 stack.push(field);
             }
@@ -476,10 +421,27 @@ impl Heap {
     }
 }
 
+/// A [`Layout::Object`]'s size, payload offset and traced payload; for
+/// any other layout, the violation its first word shows.
+fn object(layout: Layout) -> Result<(usize, usize, Range<usize>), InvariantKind> {
+    match layout {
+        Layout::Object {
+            size,
+            payload,
+            traced,
+        } => Ok((size, payload, traced)),
+        Layout::Forwarded(copy) => Err(InvariantKind::StaleForwarding {
+            word: Word::forwarding(copy).0,
+        }),
+        Layout::Undecodable(word) => Err(InvariantKind::BadHeader { word }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heap::{Heap, RegionKind};
+    use crate::heap::{Heap, RegionKind, UniformKind};
+    use crate::word::ObjKind;
 
     fn pair(h: &mut Heap, r: crate::heap::RegionId, a: Word, b: Word) -> Word {
         h.alloc(r, ObjKind::Pair, 0, &[a.0, b.0])
@@ -578,12 +540,52 @@ mod tests {
         let r = h.create_region(RegionKind::Infinite);
         let w = pair(&mut h, r, Word::int(1), Word::int(2));
         let (page, off, _) = w.ptr_parts();
-        h.pages[page as usize].words[off as usize] = 0xFF; // kind 255: undecodable
+        // Kind 254: undecodable. (0xFF would carry the forwarding tag.)
+        h.pages[page as usize].words[off as usize] = 0xFE;
         let err = h.verify(&[w]).unwrap_err();
-        assert!(matches!(err.kind, InvariantKind::BadHeader { word: 0xFF }));
+        assert!(matches!(err.kind, InvariantKind::BadHeader { word: 0xFE }));
         assert!(!err.is_dangling());
         assert_eq!(err.page, page);
         assert_eq!(err.offset, off);
+    }
+
+    #[test]
+    fn stale_forwarding_in_header_slot_detected() {
+        let mut h = Heap::new();
+        let r = h.create_region(RegionKind::Infinite);
+        let w = pair(&mut h, r, Word::int(1), Word::int(2));
+        let elsewhere = pair(&mut h, r, Word::int(3), Word::int(4));
+        let (page, off, _) = w.ptr_parts();
+        let fwd = Word::forwarding(elsewhere);
+        h.pages[page as usize].words[off as usize] = fwd.0;
+        let err = h.verify(&[w]).unwrap_err();
+        assert_eq!(err.kind, InvariantKind::StaleForwarding { word: fwd.0 });
+        assert_eq!((err.page, err.offset), (page, off));
+        assert!(err.to_string().contains("stale forwarding word"), "{err}");
+    }
+
+    #[test]
+    fn stale_forwarding_in_untagged_fields_detected() {
+        // A header-less object has no header slot to hold a marker, so
+        // only the word's tag can say it is stale.
+        let mut h = Heap::new();
+        let u = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Pair));
+        let t = h.create_region(RegionKind::Infinite);
+        let inner = h.alloc(u, ObjKind::Pair, 0, &[Word::int(1).0, Word::int(2).0]);
+        let outer = pair(&mut h, t, inner, Word::int(3));
+        let fwd = Word::forwarding(outer);
+        let (page, off, _) = inner.ptr_parts();
+        // In field 1, reachable: the trace reports it.
+        h.pages[page as usize].words[off as usize + 1] = fwd.0;
+        let err = h.verify(&[outer]).unwrap_err();
+        assert_eq!(err.kind, InvariantKind::StaleForwarding { word: fwd.0 });
+        assert_eq!((err.page, err.offset), (page, off));
+        // In field 0, where the collector writes it: so does the page walk.
+        h.pages[page as usize].words[off as usize + 1] = Word::int(2).0;
+        h.pages[page as usize].words[off as usize] = fwd.0;
+        let err = h.verify(&[]).unwrap_err();
+        assert_eq!(err.kind, InvariantKind::StaleForwarding { word: fwd.0 });
+        assert_eq!((err.page, err.offset), (page, off));
     }
 
     #[test]
@@ -645,7 +647,7 @@ mod tests {
     #[test]
     fn untagged_regions_verify() {
         let mut h = Heap::new();
-        let u = h.create_region_uniform(RegionKind::Infinite, Some(crate::heap::UniformKind::Pair));
+        let u = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Pair));
         let t = h.create_region(RegionKind::Infinite);
         let inner = h.alloc(u, ObjKind::Pair, 0, &[Word::int(1).0, Word::int(2).0]);
         let outer = pair(&mut h, t, inner, Word::int(3));

@@ -9,6 +9,9 @@
 //!                       bits 22..3  = word offset within page (20 bits)
 //!                       bits 46..23 = page index            (24 bits)
 //!                       bits 62..47 = page epoch            (16 bits)
+//! bits 2..0 = 0b111  → forwarding word: the pointer bits of an evacuated
+//!                       object's copy, written by the collector over the
+//!                       object's first word (never a value)
 //! ```
 //!
 //! Unboxed values are *tagged* (the paper's partly tag-free scheme keeps
@@ -31,6 +34,7 @@ pub struct Word(pub u64);
 const TAG_MASK: u64 = 0b111;
 const TAG_INT: u64 = 0b001;
 const TAG_SPECIAL: u64 = 0b011;
+const TAG_FORWARD: u64 = 0b111;
 
 impl Word {
     /// An immediate integer.
@@ -106,6 +110,19 @@ impl Word {
         let epoch = ((self.0 >> 47) & 0xFFFF) as u16;
         (page, offset, epoch)
     }
+
+    /// The forwarding word for an object evacuated to `copy` (a pointer).
+    /// No value and no header has these low three bits, so the collector
+    /// can write it over the first word of any object, header or field 0.
+    pub(crate) fn forwarding(copy: Word) -> Word {
+        debug_assert!(copy.is_pointer());
+        Word(copy.0 | TAG_FORWARD)
+    }
+
+    /// The copy a forwarding word points at, or `None` for any other word.
+    pub(crate) fn forwarded(self) -> Option<Word> {
+        (self.0 & TAG_MASK == TAG_FORWARD).then_some(Word(self.0 & !TAG_MASK))
+    }
 }
 
 impl fmt::Display for Word {
@@ -145,12 +162,11 @@ pub enum ObjKind {
     Ref = 5,
     /// Exception value: `[name][tag][optional traceable arg]`.
     Exn = 6,
-    /// Forwarding marker left by the collector.
-    Forward = 7,
 }
 
 impl ObjKind {
-    /// Decodes a kind byte.
+    /// Decodes a kind byte. Kind 7 stays unused: its low three bits are
+    /// the forwarding tag.
     pub fn from_u8(b: u8) -> Option<ObjKind> {
         Some(match b {
             1 => ObjKind::Pair,
@@ -159,7 +175,6 @@ impl ObjKind {
             4 => ObjKind::Cons,
             5 => ObjKind::Ref,
             6 => ObjKind::Exn,
-            7 => ObjKind::Forward,
             _ => return None,
         })
     }
@@ -195,11 +210,11 @@ impl Header {
     }
 
     /// Payload size in words. Strings pack `len` bytes, padded to at
-    /// least one word: a zero-payload object would occupy a single word,
-    /// too small for the two-word forwarding marker (header + pointer)
-    /// the collector writes over evacuated objects — the marker would
-    /// clobber the next object's header. Only `Str` can have an empty
-    /// payload (every other kind has at least one field).
+    /// least one word. The collector does not need the pad (its
+    /// forwarding word fits in the header), but dropping it would change
+    /// the allocated and peak byte counts of every program that allocates
+    /// `""`. Only `Str` can have an empty payload (every other kind has
+    /// at least one field).
     pub fn payload_words(self) -> u32 {
         match self.kind {
             ObjKind::Str => self.len.div_ceil(8).max(1),
@@ -258,6 +273,23 @@ mod tests {
             raw: 0,
         };
         assert_eq!(h.payload_words(), 2);
+    }
+
+    #[test]
+    fn forwarding_words_are_neither_values_nor_headers() {
+        for (page, epoch) in [(0, 0), (1, 1), (0xFF_FFFF, 0xFFFF), (4242, 7)] {
+            for offset in 0..32 {
+                let copy = Word::pointer(page, offset, epoch);
+                let fwd = Word::forwarding(copy);
+                assert!(!fwd.is_pointer() && !fwd.is_int());
+                assert_ne!(fwd.0 & TAG_MASK, TAG_SPECIAL, "special");
+                assert_eq!(Header::decode(fwd.0), None, "{fwd:?} decodes");
+                assert_eq!(fwd.forwarded(), Some(copy));
+                assert_eq!(copy.forwarded(), None);
+            }
+        }
+        assert_eq!(Word::int(-1).forwarded(), None);
+        assert_eq!(Word::NIL.forwarded(), None);
     }
 
     #[test]
