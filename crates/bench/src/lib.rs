@@ -12,9 +12,10 @@
 //! Every program is compiled **exactly once per strategy** (three
 //! compilations per program, see [`CompiledSet`]); the statistics
 //! columns, the `diff` column, and all four measurements share those
-//! compilations. The basis library's own statistics (subtracted from the
-//! per-program columns) are compiled once per process. Rows run one after
-//! another, so each timing column measures an otherwise idle core.
+//! compilations. Each compilation includes only the basis declarations
+//! the program reaches, and the statistics columns count only the
+//! program's own declarations. Rows run one after another, so each timing
+//! column measures an otherwise idle core.
 //!
 //! [`ablations`] measures four design choices the same way, and
 //! [`differential`] runs the torture oracle over the suite (the `torture`
@@ -24,7 +25,7 @@ use rml::{compile_with_basis, execute, programs::Program, ExecOpts, Json, Metric
 use rml::{SpuriousStyle, Strategy};
 use rml_eval::GcPolicy;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Parses an optional numeric environment variable. Absent → `default`;
@@ -77,7 +78,7 @@ pub struct Row {
     pub name: &'static str,
     /// Lines of code (excluding the basis).
     pub loc: usize,
-    /// Spurious functions / total functions (program + basis).
+    /// Spurious functions / total functions (the program's own).
     pub fcns: (usize, usize),
     /// Spurious boxed instantiations / total instantiations.
     pub insts: (usize, usize),
@@ -111,18 +112,6 @@ pub fn compile_set(p: &Program) -> CompiledSet {
         rgm: get(Strategy::RgMinus, "rg-"),
         r: get(Strategy::R, "r"),
     }
-}
-
-/// The basis library's Figure 9 statistics (compiled once per process;
-/// only the plain-data statistics are retained).
-pub fn basis_stats() -> &'static rml_infer::Stats {
-    static BASIS: OnceLock<rml_infer::Stats> = OnceLock::new();
-    BASIS.get_or_init(|| {
-        rml::compile(rml::basis::BASIS, Strategy::Rg)
-            .expect("compile basis")
-            .output
-            .stats
-    })
 }
 
 /// Runs an already-compiled program under `opts`, best-of-`repeats`. The
@@ -215,29 +204,11 @@ pub fn normalize_vars(s: &str) -> String {
     out
 }
 
-/// Function names defined by a program's own source (not the basis).
-fn own_functions(src: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut toks = src.split_whitespace().peekable();
-    while let Some(t) = toks.next() {
-        if t == "fun" || t == "and" {
-            if let Some(name) = toks.peek() {
-                out.push(
-                    name.trim_matches(|c: char| !c.is_alphanumeric() && c != '_')
-                        .to_string(),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Does the spurious machinery change the generated code for `p`'s own
-/// functions, given its compilations (the paper's `diff` column — the
-/// basis is compiled either way, so only the benchmark's own schemes
-/// count)?
-pub fn code_differs_compiled(p: &Program, rg: &rml::Compiled, rgm: &rml::Compiled) -> bool {
-    let own = own_functions(p.source);
+/// Does the spurious machinery change the generated code for the
+/// program's own functions, given its compilations (the paper's `diff`
+/// column — only the schemes of functions the program declares count)?
+pub fn code_differs_compiled(rg: &rml::Compiled, rgm: &rml::Compiled) -> bool {
+    let own = rg.own_stats().fn_names;
     let render = |c: &rml::Compiled| -> Vec<String> {
         c.output
             .schemes
@@ -255,14 +226,11 @@ pub fn code_differs_compiled(p: &Program, rg: &rml::Compiled, rgm: &rml::Compile
 }
 
 /// Builds one Figure 9 row from an existing [`CompiledSet`], performing
-/// no compilations of its own (the basis statistics come from the
-/// process-wide [`basis_stats`] cache). The `fcns`/`inst` counts are for
-/// the program itself (basis counts subtracted, as the paper excludes the
-/// Basis Library from the per-benchmark columns).
+/// no compilations of its own. The `fcns`/`inst` counts are those of the
+/// program's own declarations ([`rml::Compiled::own_stats`]), as the
+/// paper excludes the Basis Library from the per-benchmark columns.
 pub fn row_with(p: &Program, set: &CompiledSet, repeats: usize) -> Row {
-    let basis = basis_stats();
-    let rg_stats = &set.rg.output.stats;
-    let sub = |a: usize, b: usize| a.saturating_sub(b);
+    let own = set.rg.own_stats();
     let plain = ExecOpts::default();
     let baseline = ExecOpts {
         baseline: true,
@@ -271,15 +239,9 @@ pub fn row_with(p: &Program, set: &CompiledSet, repeats: usize) -> Row {
     Row {
         name: p.name,
         loc: p.loc(),
-        fcns: (
-            sub(rg_stats.spurious_fns, basis.spurious_fns),
-            sub(rg_stats.total_fns, basis.total_fns),
-        ),
-        insts: (
-            sub(rg_stats.spurious_boxed_insts, basis.spurious_boxed_insts),
-            sub(rg_stats.total_insts, basis.total_insts),
-        ),
-        diff: code_differs_compiled(p, &set.rg, &set.rgm),
+        fcns: (own.spurious_fns, own.total_fns),
+        insts: (own.spurious_boxed_insts, own.total_insts),
+        diff: code_differs_compiled(&set.rg, &set.rgm),
         compile_time: set.rg.timings.total + set.rgm.timings.total + set.r.timings.total,
         runs: vec![
             measure_compiled(&set.rg, &plain, "rg", repeats),
@@ -319,7 +281,10 @@ pub struct Ablation {
 ///
 /// * spurious-variable style — scheme (3) (identify with the arrow
 ///   handle) vs scheme (2) (fresh secondary effect variables), timed as
-///   `compose`'s compile;
+///   `compose`'s compile. It prepends the whole basis as text on
+///   purpose, so that the three spurious basis functions and every other
+///   basis function are compiled under each style, not only those
+///   `compose` reaches;
 /// * GC trigger threshold — `life` under 4, 64 and 512 KB minimums;
 /// * generational vs major-only collection on `msort`;
 /// * tagged vs partly tag-free representation on `msort` (paper

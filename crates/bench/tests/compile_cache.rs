@@ -6,7 +6,7 @@
 //! the same process would perturb it.
 
 use rml::Json;
-use rml_bench::{basis_stats, compile_set, row_with, Row};
+use rml_bench::{compile_set, row_with, Row};
 
 /// The committed deterministic columns of the whole suite. A change to
 /// any value lands together with a one-line justification in CHANGES.md.
@@ -19,8 +19,6 @@ fn row_compiles_each_strategy_exactly_once() {
 
 fn row_compiles_each_strategy_exactly_once_body() {
     let p = rml::programs::by_name("fib").unwrap();
-    // Fill the process-wide basis cache before taking the baseline.
-    let _ = basis_stats();
     let c0 = rml::compile_count();
     let set = compile_set(&p);
     assert_eq!(rml::compile_count() - c0, 3, "one compile per strategy");
@@ -33,8 +31,8 @@ fn row_compiles_each_strategy_exactly_once_body() {
     assert_eq!(row.runs.len(), 4, "baseline shares the rg compilation");
 
     // The whole-suite budget: at most 4N+1 compilations for N programs
-    // (this driver does exactly 3N with the basis already cached). The
-    // full suite is a release-profile check.
+    // (this driver does exactly 3N). The full suite is a release-profile
+    // check.
     if cfg!(debug_assertions) {
         return;
     }
@@ -47,7 +45,7 @@ fn row_compiles_each_strategy_exactly_once_body() {
         delta <= 4 * n + 1,
         "figure9 compiled {delta} times for {n} programs"
     );
-    assert_eq!(delta, 3 * n, "three compiles per program, basis cached");
+    assert_eq!(delta, 3 * n, "three compiles per program");
 
     // The same run, against the committed baseline.
     let actual = baseline_json(&rows);

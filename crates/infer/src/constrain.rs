@@ -47,6 +47,22 @@ pub struct Stats {
     pub total_insts: usize,
     /// Names of the spurious functions, for reporting (E5).
     pub spurious_fn_names: Vec<String>,
+    /// Names of all the functions counted in `total_fns`, in inference
+    /// order.
+    pub fn_names: Vec<String>,
+}
+
+impl Stats {
+    /// Adds `other`'s counts and names to these.
+    pub fn add(&mut self, other: &Stats) {
+        self.spurious_fns += other.spurious_fns;
+        self.total_fns += other.total_fns;
+        self.spurious_boxed_insts += other.spurious_boxed_insts;
+        self.total_insts += other.total_insts;
+        self.spurious_fn_names
+            .extend_from_slice(&other.spurious_fn_names);
+        self.fn_names.extend_from_slice(&other.fn_names);
+    }
 }
 
 /// An inference error (unexpected shape; indicates an upstream bug or an
@@ -108,8 +124,12 @@ pub struct Constrain {
     pub global_eps: EpsId,
     /// Exception constructors with (globalised) argument types.
     pub exns: BTreeMap<Symbol, Option<RTy>>,
-    /// Figure 9 statistics.
+    /// Figure 9 statistics: while [`Constrain::program`] runs, those of
+    /// the current top-level binding; afterwards, the whole program's.
     pub stats: Stats,
+    /// Figure 9 statistics of each top-level binding, in source order
+    /// (filled by [`Constrain::program`]).
+    pub bind_stats: Vec<Stats>,
     /// Source provenance: binder symbol → the span of the lambda or `fun`
     /// binding that introduced it. First binding wins, matching the
     /// checker's innermost-blame convention, so a diagnostic for a blamed
@@ -140,6 +160,7 @@ impl Constrain {
             global_eps,
             exns: BTreeMap::new(),
             stats: Stats::default(),
+            bind_stats: Vec::new(),
             provenance: BTreeMap::new(),
             rec_depth: 0,
         }
@@ -982,6 +1003,7 @@ impl Constrain {
                 evars.retain(|e| !delta_roots.contains(&self.st.find_eps(*e)));
             }
             self.stats.total_fns += 1;
+            self.stats.fn_names.push(b.name.to_string());
             if any_spurious {
                 self.stats.spurious_fns += 1;
                 self.stats.spurious_fn_names.push(b.name.to_string());
@@ -1092,11 +1114,15 @@ impl Constrain {
 
     /// Runs the pass over a whole program, returning the intermediate term
     /// (the nested lets ending in a call to `main ()` when present).
+    /// Afterwards `bind_stats` holds each top-level binding's statistics
+    /// (the closing `main ()` call's instantiations count with the last
+    /// binding) and `stats` their sum.
     pub fn program(&mut self, p: &TProgram) -> IResult<(CTerm, BTreeSet<AtomI>)> {
         let mut cbinds = Vec::new();
         for b in &p.binds {
             let mut bs = self.do_binds(std::slice::from_ref(b))?;
             cbinds.append(&mut bs);
+            self.bind_stats.push(std::mem::take(&mut self.stats));
         }
         // Final expression: main () when a unary unit function `main`
         // exists; otherwise unit.
@@ -1127,6 +1153,13 @@ impl Constrain {
             }
             _ => (CTerm::Unit, BTreeSet::new()),
         };
+        let main_call = std::mem::take(&mut self.stats);
+        if let Some(last) = self.bind_stats.last_mut() {
+            last.add(&main_call);
+        }
+        for b in &self.bind_stats {
+            self.stats.add(b);
+        }
         for b in cbinds.into_iter().rev() {
             match b {
                 CBind::Val(x, rhs, reff) => {

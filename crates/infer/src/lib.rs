@@ -93,6 +93,10 @@ pub struct Output {
     pub global: RegVar,
     /// Figure 9 statistics (spurious functions/instantiations).
     pub stats: Stats,
+    /// The statistics of each top-level declaration, in source order;
+    /// `stats` is their sum (the closing `main ()` call counts with the
+    /// last declaration).
+    pub bind_stats: Vec<Stats>,
     /// Unification-store instrumentation (find/union/closure counters).
     pub store_stats: store::StoreStats,
     /// Pretty-printable schemes of the top-level functions, in order.
@@ -119,6 +123,7 @@ pub fn infer(p: &TProgram, opts: Options) -> Result<Output, InferError> {
     };
     let global_rho = c.global_rho;
     let stats = c.stats.clone();
+    let bind_stats = std::mem::take(&mut c.bind_stats);
     let provenance = c.provenance.clone();
     let (mut b, exns) = build::Build::new(&mut c);
     let global = b.global_region(global_rho);
@@ -157,6 +162,7 @@ pub fn infer(p: &TProgram, opts: Options) -> Result<Output, InferError> {
         exns,
         global,
         stats,
+        bind_stats,
         store_stats,
         schemes,
         provenance,

@@ -6,7 +6,10 @@
 //!   --baseline              run on the regionless tracing-GC machine
 //!   --no-basis              do not prepend the basis library
 //!   --print-term            print the region-annotated program
-//!   --print-schemes         print the inferred region type schemes
+//!   --print-schemes         print the inferred region type schemes of
+//!                           the program's functions and of the basis
+//!                           functions it reaches (only those are
+//!                           compiled)
 //!   --check                 validate against the Figure 4 typing rules
 //!   --check-full            validate against the FULL GC-safety rules
 //!                           (detects the rg- soundness hole; no run)

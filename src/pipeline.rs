@@ -5,8 +5,12 @@ use rml_eval::{ExecOpts, GcPolicy, RunError, RunOutcome};
 use rml_infer::{Options, SpuriousStyle, Strategy};
 use rml_repr::ReprInfo;
 use rml_session::{trace, Diagnostic, SourceMap, Span};
+use rml_syntax::ast::{Decl, Expr, ExprKind, Program};
+use rml_syntax::Symbol;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Process-wide count of completed compilations (any strategy). The
@@ -22,7 +26,8 @@ pub fn compile_count() -> u64 {
 /// Wall-clock time spent in each compilation phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileTimings {
-    /// Lexing + parsing.
+    /// Lexing + parsing (with the basis, also dropping the basis
+    /// declarations the program does not reach).
     pub parse: Duration,
     /// Hindley–Milner typing.
     pub types: Duration,
@@ -37,8 +42,11 @@ pub struct CompileTimings {
 /// A compiled program.
 #[derive(Debug)]
 pub struct Compiled {
-    /// The source, as compiled (including any prepended basis).
+    /// The source, as parsed (including any prepended basis).
     pub source: String,
+    /// How many basis declarations were compiled: they come first, and
+    /// every later top-level declaration is the user's.
+    pub basis_decls: usize,
     /// Region inference output (term, exceptions, statistics, schemes).
     pub output: rml_infer::Output,
     /// Representation analyses.
@@ -47,6 +55,19 @@ pub struct Compiled {
     pub strategy: Strategy,
     /// Per-phase compilation wall times.
     pub timings: CompileTimings,
+}
+
+impl Compiled {
+    /// The Figure 9 statistics of the user's own declarations, the ones
+    /// after the basis (the paper's per-benchmark columns exclude the
+    /// Basis Library).
+    pub fn own_stats(&self) -> rml_infer::Stats {
+        let mut own = rml_infer::Stats::default();
+        for s in &self.output.bind_stats[self.basis_decls..] {
+            own.add(s);
+        }
+        own
+    }
 }
 
 /// A compilation error from any stage, carrying a structured
@@ -103,13 +124,27 @@ pub fn compile_opts(
     strategy: Strategy,
     style: SpuriousStyle,
 ) -> Result<Compiled, CompileError> {
+    compile_source(src, strategy, style, 0)
+}
+
+/// Compiles `src`, whose first `basis` top-level declarations are the
+/// basis library's: of those, only the ones the rest of the program
+/// reaches are typed and compiled (see [`shake_basis`]).
+fn compile_source(
+    src: &str,
+    strategy: Strategy,
+    style: SpuriousStyle,
+    basis: usize,
+) -> Result<Compiled, CompileError> {
     let _compile_span = trace::span("compile", "pipeline");
     let start = Instant::now();
-    let prog = {
+    let (prog, basis_decls) = {
         let _s = trace::span("parse", "pipeline");
-        rml_syntax::parse_program(src).map_err(|e| {
+        let mut prog = rml_syntax::parse_program(src).map_err(|e| {
             CompileError::Parse(Diagnostic::error("E0001", e.msg.clone()).with_primary(e.span))
-        })?
+        })?;
+        let kept = shake_basis(&mut prog, basis);
+        (prog, kept)
     };
     let parse = start.elapsed();
     let t = Instant::now();
@@ -142,6 +177,7 @@ pub fn compile_opts(
     COMPILES.fetch_add(1, Ordering::Relaxed);
     Ok(Compiled {
         source: src.to_string(),
+        basis_decls,
         output,
         repr,
         strategy,
@@ -155,14 +191,95 @@ pub fn compile_opts(
     })
 }
 
-/// Compiles with the basis library prepended (see [`crate::basis`]).
+/// Compiles against the basis library (see [`crate::basis`]): `src` is
+/// parsed with the basis prepended, so spans stay in one text (see
+/// [`render_diagnostic`]), but only the basis declarations the program
+/// reaches are typed and compiled. `compile(BASIS, …)` compiles the whole
+/// basis.
 ///
 /// # Errors
 ///
 /// As [`compile`].
 pub fn compile_with_basis(src: &str, strategy: Strategy) -> Result<Compiled, CompileError> {
     let full = format!("{}\n{}", crate::basis::BASIS, src);
-    compile(&full, strategy)
+    compile_source(
+        &full,
+        strategy,
+        SpuriousStyle::default(),
+        basis_decl_count(),
+    )
+}
+
+/// The number of top-level declarations in the basis.
+fn basis_decl_count() -> usize {
+    static COUNT: OnceLock<usize> = OnceLock::new();
+    *COUNT.get_or_init(|| {
+        rml_syntax::parse_program(crate::basis::BASIS)
+            .expect("the basis parses")
+            .decls
+            .len()
+    })
+}
+
+/// Drops the declarations among the first `basis` of `prog` that the
+/// rest of the program does not reach, and returns how many of them are
+/// kept.
+///
+/// The walk goes from the last declaration to the first with the set of
+/// names still needed. A later declaration is always kept, so the user's
+/// unused or ill-typed functions are still checked. An earlier one is
+/// kept only if it binds a needed name. A kept declaration's bound names
+/// leave the set (a `fun` group's after its bodies, as it is recursive)
+/// and the names it mentions join it. The mentions are every variable
+/// and exception name in it, binders ignored, so the walk can only keep
+/// too much.
+fn shake_basis(prog: &mut Program, basis: usize) -> usize {
+    if basis == 0 {
+        return 0;
+    }
+    let mut needed = HashSet::new();
+    let mut keep = vec![true; prog.decls.len()];
+    for (i, d) in prog.decls.iter().enumerate().rev() {
+        match d {
+            Decl::Val(x, e) => {
+                if i < basis && !needed.contains(x) {
+                    keep[i] = false;
+                    continue;
+                }
+                needed.remove(x);
+                mentions(e, &mut needed);
+            }
+            Decl::Fun(binds) => {
+                if i < basis && !binds.iter().any(|b| needed.contains(&b.name)) {
+                    keep[i] = false;
+                    continue;
+                }
+                for b in binds {
+                    mentions(&b.body, &mut needed);
+                }
+                for b in binds {
+                    needed.remove(&b.name);
+                }
+            }
+            // An exception constructor is no value: the name stays needed.
+            Decl::Exception(..) => {}
+        }
+    }
+    let kept = keep.iter().take(basis).filter(|k| **k).count();
+    let mut keep = keep.into_iter();
+    prog.decls.retain(|_| keep.next() == Some(true));
+    kept
+}
+
+/// Adds every variable and exception name in `e` to `out`.
+fn mentions(e: &Expr, out: &mut HashSet<Symbol>) {
+    match &e.kind {
+        ExprKind::Var(x) | ExprKind::Con(x, _) | ExprKind::Handle { exn: x, .. } => {
+            out.insert(*x);
+        }
+        _ => {}
+    }
+    e.for_children(|c| mentions(c, out));
 }
 
 /// Renders a diagnostic from a compile of the user's program `src`

@@ -113,16 +113,34 @@ fn basis_prefixed_diagnostics_point_into_the_right_file() {
         assert!(err.contains(&format!("--> {bad}:2:9")), "{basis:?}: {err}");
         assert!(err.contains("2 | val x = 1 + \"two\""), "{basis:?}: {err}");
     }
-    std::fs::remove_dir_all(&dir).ok();
-    // Under rg-, Fig. 1 with the basis fails the full check on the
-    // basis's own `o`: the span is labelled as the basis, not the file.
+    // Under rg-, a program that uses the basis's `o` fails the full check
+    // on `o` itself: the span is labelled as the basis, not the file.
+    let uses_o = dir.join("uses_o.rml");
+    std::fs::write(&uses_o, "fun main () = (o (fn x => x + 1, fn x => x)) 1\n").unwrap();
+    let uses_o = uses_o.display().to_string();
     let out = rmlc()
-        .args(["--strategy", "rg-", "--check-full", "examples/fig1.rml"])
+        .args(["--strategy", "rg-", "--check-full", &uses_o])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--> <basis>:3:16"), "{err}");
     assert!(err.contains("fun o (f, g) = fn x => f (g x)"), "{err}");
-    assert!(!err.contains("examples/fig1.rml"), "{err}");
+    assert!(!err.contains(&uses_o), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+    // Fig. 1 reaches no basis function, so with the basis it fails on its
+    // own `compose`, at the same place as without it.
+    for basis in [&[][..], &["--no-basis"][..]] {
+        let out = rmlc()
+            .args(["--strategy", "rg-", "--check-full", "examples/fig1.rml"])
+            .args(basis)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--> examples/fig1.rml:10:22"),
+            "{basis:?}: {err}"
+        );
+    }
 }
