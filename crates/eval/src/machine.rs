@@ -318,6 +318,9 @@ struct Machine<'a> {
     opts: &'a ExecOpts,
     gc: GcPolicy,
     verify: VerifyLevel,
+    /// Faults, a stress schedule or the verifier need a look at every
+    /// step; otherwise only a due collection stops the step loop.
+    guarded: bool,
     heap: Heap,
     kont: Vec<Frame>,
     acts: Vec<Act>,
@@ -370,6 +373,14 @@ pub fn run(
     });
     let mut heap = Heap::new();
     heap.generational = gc.generational();
+    match gc {
+        GcPolicy::On {
+            min_bytes, ratio, ..
+        } => heap.set_gc_growth(min_bytes, ratio),
+        // No allocation heuristic: the step loop's trigger test never
+        // fires (stress schedules are checked on every step instead).
+        _ => heap.set_gc_growth(u64::MAX, 0.0),
+    }
     let global_region = heap.create_region(RegionKind::Infinite);
     let seed = match gc {
         GcPolicy::Stress(s) => s.seed,
@@ -389,6 +400,10 @@ pub fn run(
         opts,
         gc,
         verify,
+        guarded: opts.alloc_budget.is_some()
+            || opts.depth_limit.is_some()
+            || matches!(gc, GcPolicy::Stress(_))
+            || verify != VerifyLevel::Off,
         heap,
         kont: Vec::new(),
         acts: vec![Act {
@@ -520,8 +535,10 @@ impl Machine<'_> {
             if self.steps & 0xFFF == 0 && trace::enabled() {
                 trace::counter("machine.steps", self.steps as f64);
             }
-            self.check_faults()?;
-            self.maybe_collect(&mut ctrl)?;
+            if self.guarded || self.gc_pending || self.heap.should_collect() {
+                self.check_faults()?;
+                self.maybe_collect(&mut ctrl)?;
+            }
             ctrl = match ctrl {
                 Ctrl::Eval(pc) => self.eval(pc)?,
                 Ctrl::Ret(w) => match self.kont.pop() {
@@ -577,13 +594,9 @@ impl Machine<'_> {
     fn gc_decision(&mut self) -> Option<(bool, bool)> {
         match self.gc {
             GcPolicy::Off => None,
-            GcPolicy::On {
-                min_bytes,
-                ratio,
-                generational,
-            } => {
+            GcPolicy::On { generational, .. } => {
                 let forced = self.gc_pending;
-                if !forced && !self.heap.should_collect(min_bytes, ratio) {
+                if !forced && !self.heap.should_collect() {
                     return None;
                 }
                 let minor = generational && self.collections_since_major < 4;

@@ -142,6 +142,7 @@ impl Heap {
             }
         }
         self.live_after_gc = live_words * WORD_BYTES;
+        self.update_gc_trigger();
         let pause = GcPause {
             duration: pause_start.elapsed(),
             bytes_copied: self.stats.bytes_copied - copied_before,
@@ -523,13 +524,14 @@ mod tests {
     fn collection_resets_trigger() {
         let mut h = Heap::new();
         let r = h.create_region(RegionKind::Infinite);
+        h.set_gc_growth(1024, 2.0);
         for _ in 0..200 {
             pair(&mut h, r, Word::int(0), Word::int(0));
         }
-        assert!(h.should_collect(1024, 2.0));
+        assert!(h.should_collect());
         let mut roots: [Word; 0] = [];
         h.collect(&mut roots, false).unwrap();
-        assert!(!h.should_collect(1024, 2.0));
+        assert!(!h.should_collect());
     }
 }
 

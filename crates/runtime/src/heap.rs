@@ -42,6 +42,7 @@ pub enum UniformKind {
 
 impl UniformKind {
     /// Payload words per object.
+    #[inline]
     pub fn words(self) -> usize {
         match self {
             UniformKind::Pair | UniformKind::Cons => 2,
@@ -50,6 +51,7 @@ impl UniformKind {
     }
 
     /// The object kind this region holds.
+    #[inline]
     pub fn obj_kind(self) -> ObjKind {
         match self {
             UniformKind::Pair => ObjKind::Pair,
@@ -115,6 +117,13 @@ pub struct Heap {
     pub bytes_since_gc: u64,
     /// Live bytes surviving the last collection.
     pub live_after_gc: u64,
+    /// The allocation heuristic's `(min_bytes, ratio)`
+    /// ([`Heap::set_gc_growth`]).
+    growth: (u64, f64),
+    /// `max(min_bytes, ratio × live_after_gc)`, recomputed only where
+    /// `live_after_gc` changes, so that [`Heap::should_collect`] is one
+    /// integer compare.
+    gc_trigger: u64,
     /// Remembered set for the generational mode: addresses of old-page
     /// object *fields* that were mutated to point at young objects.
     pub(crate) remembered: Vec<Word>,
@@ -278,6 +287,7 @@ impl Heap {
     }
 
     /// Is the page young: handed out since the last collection?
+    #[inline]
     pub(crate) fn young(&self, page: u32) -> bool {
         self.pages
             .get(page as usize)
@@ -320,6 +330,7 @@ impl Heap {
     /// Reserves `need` words at the end of region `r`: on its last page
     /// when that page is open and has room, else on a fresh page. Returns
     /// the page and the offset of the first reserved word.
+    #[inline]
     pub(crate) fn reserve(&mut self, r: RegionId, need: usize) -> (u32, usize) {
         let page_idx = match self.regions[r.0 as usize].pages.last() {
             Some(&p)
@@ -347,6 +358,7 @@ impl Heap {
     ///
     /// Panics if the region has been deallocated (allocation into a dead
     /// region is a region-inference bug, not a recoverable condition).
+    #[inline]
     pub fn alloc(&mut self, r: RegionId, kind: ObjKind, raw: u16, payload: &[u64]) -> Word {
         let header = Header {
             kind,
@@ -376,6 +388,7 @@ impl Heap {
         self.alloc_with_header(r, header, &payload)
     }
 
+    #[inline]
     pub(crate) fn alloc_with_header(
         &mut self,
         r: RegionId,
@@ -412,6 +425,7 @@ impl Heap {
     }
 
     /// Checks a pointer and returns `(page, offset)` on success.
+    #[inline]
     pub(crate) fn check_ptr(
         &self,
         w: Word,
@@ -425,6 +439,7 @@ impl Heap {
     }
 
     /// The uniform layout of the object's region, if untagged.
+    #[inline]
     pub(crate) fn uniform_of_page(&self, page: u32) -> Option<UniformKind> {
         self.regions[self.pages[page as usize].region.0 as usize].uniform
     }
@@ -465,6 +480,7 @@ impl Heap {
     ///
     /// Returns [`DanglingAccess`] if the pointer's page has been freed or
     /// recycled — a dangling pointer.
+    #[inline]
     pub fn header(&self, w: Word, context: &'static str) -> Result<Header, DanglingAccess> {
         let (page, off) = self.check_ptr(w, context)?;
         if let Some(u) = self.uniform_of_page(page) {
@@ -483,6 +499,7 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`DanglingAccess`] on dangling pointers.
+    #[inline]
     pub fn field(&self, w: Word, i: usize, context: &'static str) -> Result<Word, DanglingAccess> {
         let (page, off) = self.check_ptr(w, context)?;
         let skip = if self.uniform_of_page(page).is_some() {
@@ -504,6 +521,7 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`DanglingAccess`] on dangling pointers.
+    #[inline]
     pub fn set_field(
         &mut self,
         w: Word,
@@ -563,10 +581,26 @@ impl Heap {
         self.stats.live_words
     }
 
-    /// Whether a collection is advisable: allocation since the last GC
-    /// exceeds `max(min_bytes, ratio × live-after-last-gc)`.
-    pub fn should_collect(&self, min_bytes: u64, ratio: f64) -> bool {
-        self.bytes_since_gc > min_bytes.max((self.live_after_gc as f64 * ratio) as u64)
+    /// Sets the allocation heuristic: [`Heap::should_collect`] holds once
+    /// allocation since the last collection exceeds
+    /// `max(min_bytes, ratio × live-after-last-gc)`.
+    pub fn set_gc_growth(&mut self, min_bytes: u64, ratio: f64) {
+        self.growth = (min_bytes, ratio);
+        self.update_gc_trigger();
+    }
+
+    /// Recomputes the trigger from `live_after_gc`; each collection calls
+    /// it once.
+    pub(crate) fn update_gc_trigger(&mut self) {
+        let (min_bytes, ratio) = self.growth;
+        self.gc_trigger = min_bytes.max((self.live_after_gc as f64 * ratio) as u64);
+    }
+
+    /// Whether a collection is advisable under the heuristic set by
+    /// [`Heap::set_gc_growth`].
+    #[inline]
+    pub fn should_collect(&self) -> bool {
+        self.bytes_since_gc > self.gc_trigger
     }
 }
 
@@ -692,11 +726,12 @@ mod tests {
     fn should_collect_threshold() {
         let mut h = Heap::new();
         let r = h.create_region(RegionKind::Infinite);
-        assert!(!h.should_collect(1024, 2.0));
+        h.set_gc_growth(1024, 2.0);
+        assert!(!h.should_collect());
         for _ in 0..100 {
             h.alloc(r, ObjKind::Pair, 0, &[0, 0]);
         }
-        assert!(h.should_collect(1024, 2.0));
+        assert!(h.should_collect());
     }
 }
 

@@ -38,6 +38,7 @@ const TAG_FORWARD: u64 = 0b111;
 
 impl Word {
     /// An immediate integer.
+    #[inline]
     pub fn int(n: i64) -> Word {
         Word(((n as u64) << 3) | TAG_INT)
     }
@@ -52,6 +53,7 @@ impl Word {
     pub const NIL: Word = Word((3 << 3) | TAG_SPECIAL);
 
     /// A boolean.
+    #[inline]
     pub fn bool(b: bool) -> Word {
         if b {
             Word::TRUE
@@ -61,6 +63,7 @@ impl Word {
     }
 
     /// Builds a pointer word.
+    #[inline]
     pub fn pointer(page: u32, offset: u32, epoch: u16) -> Word {
         debug_assert!(offset < (1 << 20));
         debug_assert!(page < (1 << 24));
@@ -68,11 +71,13 @@ impl Word {
     }
 
     /// Is this a heap pointer?
+    #[inline]
     pub fn is_pointer(self) -> bool {
         self.0 & TAG_MASK == 0
     }
 
     /// Is this an immediate integer?
+    #[inline]
     pub fn is_int(self) -> bool {
         self.0 & TAG_MASK == TAG_INT
     }
@@ -82,12 +87,14 @@ impl Word {
     /// # Panics
     ///
     /// Panics if the word is not an integer.
+    #[inline]
     pub fn as_int(self) -> i64 {
         assert!(self.is_int(), "word is not an integer: {self:?}");
         (self.0 as i64) >> 3
     }
 
     /// The boolean payload, if the word is `true`/`false`.
+    #[inline]
     pub fn as_bool(self) -> Option<bool> {
         if self == Word::TRUE {
             Some(true)
@@ -103,6 +110,7 @@ impl Word {
     /// # Panics
     ///
     /// Panics if the word is not a pointer.
+    #[inline]
     pub fn ptr_parts(self) -> (u32, u32, u16) {
         assert!(self.is_pointer(), "word is not a pointer: {self:?}");
         let page = ((self.0 >> 23) & 0xFF_FFFF) as u32;
@@ -167,6 +175,7 @@ pub enum ObjKind {
 impl ObjKind {
     /// Decodes a kind byte. Kind 7 stays unused: its low three bits are
     /// the forwarding tag.
+    #[inline]
     pub fn from_u8(b: u8) -> Option<ObjKind> {
         Some(match b {
             1 => ObjKind::Pair,
@@ -197,11 +206,13 @@ pub struct Header {
 
 impl Header {
     /// Encodes to a word.
+    #[inline]
     pub fn encode(self) -> u64 {
         (self.kind as u64) | ((self.len as u64) << 8) | ((self.raw as u64) << 40)
     }
 
     /// Decodes from a word.
+    #[inline]
     pub fn decode(w: u64) -> Option<Header> {
         let kind = ObjKind::from_u8((w & 0xFF) as u8)?;
         let len = ((w >> 8) & 0xFFFF_FFFF) as u32;
