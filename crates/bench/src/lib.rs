@@ -161,7 +161,9 @@ fn spread(
 
 /// Normalises variable names (`r17`, `e3`, `a5`) to first-occurrence
 /// indices so region-annotated programs from different compilations can be
-/// compared structurally (the `diff` column).
+/// compared structurally (the `diff` column). Quoted text, a name or a
+/// string as `Debug` prints them, is copied unchanged, so a program
+/// variable called `r5` is not taken for region variable `r5`.
 pub fn normalize_vars(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut maps: [std::collections::HashMap<String, usize>; 3] = Default::default();
@@ -169,6 +171,16 @@ pub fn normalize_vars(s: &str) -> String {
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
+        if c == '`' || c == '"' {
+            let mut j = i + 1;
+            while j < bytes.len() && bytes[j] != bytes[i] {
+                j += if bytes[j] == b'\\' { 2 } else { 1 };
+            }
+            let end = (j + 1).min(bytes.len());
+            out.push_str(&s[i..end]);
+            i = end;
+            continue;
+        }
         let class = match c {
             'r' => Some(0),
             'e' => Some(1),
@@ -627,6 +639,13 @@ mod tests {
         // And a digits-then-underscore token inside a larger identifier
         // (preceded by an identifier char) is untouched as before.
         assert_eq!(normalize_vars("xr5_tail"), "xr5_tail");
+    }
+
+    #[test]
+    fn normalize_vars_leaves_quoted_text_alone() {
+        let quoted = "`r5` \"e\\\"7\"";
+        assert_eq!(normalize_vars(quoted), quoted);
+        assert_eq!(normalize_vars("`r5` r9"), normalize_vars("`r5` r2"));
     }
 
     /// The differential oracle end-to-end on a tiny program: all 16

@@ -19,54 +19,132 @@
 use crate::error::CheckError;
 use crate::gcsafe::check_g_with;
 use crate::instantiate::check_instance_with;
-use crate::terms::{Term, Value};
+use crate::terms::{FixDef, Term, Value};
 use crate::types::{delta_frev, wf_mu, wf_pi, BoxTy, Delta, Mu, Pi, Scheme};
-use crate::vars::{Atom, Effect, RegVar};
+use crate::vars::{Atom, Effect, RegVar, TyVar};
 use rml_syntax::ast::PrimOp;
 use rml_syntax::Symbol;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A type environment `Γ`.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A stack of bindings: [`TypeEnv::insert`] pushes one, shadowing any
+/// earlier binding of the same name, and [`TypeEnv::with_bindings`] pops
+/// what it pushed, which makes the shadowed bindings visible again.
+/// Neither copies the environment. For every region, effect and type
+/// variable the environment counts the visible bindings whose type mentions
+/// it, so "is this variable free in `Γ`?" is one lookup
+/// ([`TypeEnv::mentions`], [`TypeEnv::mentions_tyvar`]) and not a walk over
+/// every binding. A shadowed binding's variables are not counted.
+#[derive(Debug, Clone, Default)]
 pub struct TypeEnv {
-    map: BTreeMap<Symbol, Pi>,
+    bindings: Vec<Binding>,
+    /// Name → index of its visible binding.
+    visible: HashMap<Symbol, usize>,
+    /// Atom → number of visible bindings whose `frev` contains it.
+    atoms: HashMap<Atom, u32>,
+    /// Type variable → number of visible bindings whose `ftv` contains it.
+    tyvars: HashMap<TyVar, u32>,
+}
+
+#[derive(Debug, Clone)]
+struct Binding {
+    name: Symbol,
+    pi: Pi,
+    /// The binding of the same name this one shadows.
+    shadows: Option<usize>,
+    frev: Vec<Atom>,
+    ftv: Vec<TyVar>,
 }
 
 impl TypeEnv {
     /// Looks up a variable.
     pub fn lookup(&self, x: Symbol) -> Option<&Pi> {
-        self.map.get(&x)
+        self.visible.get(&x).map(|&i| &self.bindings[i].pi)
     }
 
     /// Binds a variable (shadowing any previous binding).
     pub fn insert(&mut self, x: Symbol, pi: Pi) {
-        self.map.insert(x, pi);
+        let mut frev = Effect::new();
+        pi.frev(&mut frev);
+        let mut ftv = BTreeSet::new();
+        pi.ftv(&mut ftv);
+        let shadows = self.visible.insert(x, self.bindings.len());
+        if let Some(j) = shadows {
+            self.count(j, false);
+        }
+        self.bindings.push(Binding {
+            name: x,
+            pi,
+            shadows,
+            frev: frev.into_iter().collect(),
+            ftv: ftv.into_iter().collect(),
+        });
+        self.count(self.bindings.len() - 1, true);
     }
 
-    /// Returns an extended copy.
-    pub fn extended(&self, x: Symbol, pi: Pi) -> TypeEnv {
-        let mut e = self.clone();
-        e.insert(x, pi);
-        e
+    /// Runs `f` with `binds` added (later ones shadowing earlier ones),
+    /// then removes them again, whatever `f` returns.
+    pub fn with_bindings<R>(
+        &mut self,
+        binds: impl IntoIterator<Item = (Symbol, Pi)>,
+        f: impl FnOnce(&mut TypeEnv) -> R,
+    ) -> R {
+        let len = self.bindings.len();
+        for (x, pi) in binds {
+            self.insert(x, pi);
+        }
+        let out = f(self);
+        self.truncate(len);
+        out
     }
 
-    /// Free region and effect variables of all bindings.
-    pub fn frev(&self, out: &mut Effect) {
-        for pi in self.map.values() {
-            pi.frev(out);
+    /// Removes the bindings made since the environment had `len` of them.
+    fn truncate(&mut self, len: usize) {
+        while self.bindings.len() > len {
+            let i = self.bindings.len() - 1;
+            self.count(i, false);
+            let b = self.bindings.pop().expect("non-empty");
+            match b.shadows {
+                Some(j) => {
+                    self.visible.insert(b.name, j);
+                    self.count(j, true);
+                }
+                None => {
+                    self.visible.remove(&b.name);
+                }
+            }
         }
     }
 
-    /// Free type variables of all bindings.
-    pub fn ftv(&self, out: &mut std::collections::BTreeSet<crate::vars::TyVar>) {
-        for pi in self.map.values() {
-            pi.ftv(out);
-        }
+    /// Is the region or effect variable `a` free in a visible binding?
+    pub fn mentions(&self, a: Atom) -> bool {
+        self.atoms.contains_key(&a)
     }
 
-    /// Iterates over the bindings.
-    pub fn iter(&self) -> impl Iterator<Item = (&Symbol, &Pi)> {
-        self.map.iter()
+    /// Is the type variable `a` free in a visible binding?
+    pub fn mentions_tyvar(&self, a: TyVar) -> bool {
+        self.tyvars.contains_key(&a)
+    }
+
+    /// Adds (`up`) or removes binding `i`'s variables from the counts.
+    fn count(&mut self, i: usize, up: bool) {
+        let b = &self.bindings[i];
+        tally(&mut self.atoms, &b.frev, up);
+        tally(&mut self.tyvars, &b.ftv, up);
+    }
+}
+
+fn tally<K: Copy + Eq + std::hash::Hash>(counts: &mut HashMap<K, u32>, keys: &[K], up: bool) {
+    for k in keys {
+        if up {
+            *counts.entry(*k).or_insert(0) += 1;
+        } else if let Some(n) = counts.get_mut(k) {
+            *n -= 1;
+            if *n == 0 {
+                counts.remove(k);
+            }
+        }
     }
 }
 
@@ -103,11 +181,12 @@ impl Checker {
     ///
     /// Returns a description of the first rule violation encountered.
     pub fn check(&self, gamma: &TypeEnv, e: &Term) -> CResult<(Pi, Effect)> {
-        self.check_in(&Delta::new(), gamma, e)
+        self.check_in(&Delta::new(), &mut gamma.clone(), e)
     }
 
-    /// Checks `Ω, Γ ⊢ e : π, φ`.
-    pub fn check_in(&self, omega: &Delta, gamma: &TypeEnv, e: &Term) -> CResult<(Pi, Effect)> {
+    /// Checks `Ω, Γ ⊢ e : π, φ`. `gamma` is extended while subterms are
+    /// checked and is as it was when this returns.
+    pub fn check_in(&self, omega: &Delta, gamma: &mut TypeEnv, e: &Term) -> CResult<(Pi, Effect)> {
         match e {
             Term::Var(x) => match gamma.lookup(*x) {
                 Some(pi) => Ok((pi.clone(), Effect::new())),
@@ -142,8 +221,9 @@ impl Checker {
                 if !wf_mu(omega, ann) {
                     return Err("lambda type not well-formed in Ω".into());
                 }
-                let g2 = gamma.extended(*param, Pi::Mu(mu1.clone()));
-                let (pb, phib) = self.check_in(omega, &g2, body)?;
+                let (pb, phib) = gamma.with_bindings([(*param, Pi::Mu(mu1.clone()))], |g| {
+                    self.check_in(omega, g, body)
+                })?;
                 let got = pb.as_mu().ok_or("lambda body has a scheme type")?;
                 if got != mu2 {
                     return Err(format!(
@@ -164,111 +244,7 @@ impl Checker {
                     .map_err(|e| e.with_blame(*param))?;
                 Ok((Pi::Mu(ann.clone()), crate::vars::effect([Atom::Reg(*at)])))
             }
-            Term::Fix { defs, ats, index } => {
-                if defs.len() != ats.len() || *index >= defs.len() {
-                    return Err("malformed fun group".into());
-                }
-                // Environment for the bodies: every sibling bound with its
-                // ∀ρ⃗ε⃗ scheme *without* ∆ — type-monomorphic, region- and
-                // effect-polymorphic recursion (rule [TeRec], extended to
-                // groups).
-                let mut g_rec = gamma.clone();
-                for (d, at) in defs.iter().zip(ats.iter()) {
-                    let f_scheme = Scheme {
-                        rvars: d.scheme.rvars.clone(),
-                        evars: d.scheme.evars.clone(),
-                        delta: Vec::new(),
-                        body: d.scheme.body.clone(),
-                    };
-                    g_rec.insert(d.f, Pi::Scheme(f_scheme, *at));
-                }
-                // Ω for the bodies includes every member's ∆ (type
-                // variables are shared across a group under monomorphic
-                // type recursion).
-                let mut omega2 = omega.clone();
-                for d in defs.iter() {
-                    omega2.extend(d.scheme.delta.iter().cloned());
-                }
-                let group_names: Vec<Symbol> = defs.iter().map(|d| d.f).collect();
-                // The ∆-disjointness condition belongs to the recursive
-                // rule [TvRec]; the non-recursive rule [TvFun] permits
-                // quantified effect variables in ∆ ("parameterisation of
-                // effects associated with quantified type variables").
-                let recursive = defs.iter().any(|d| {
-                    let fv = d.body.fpv();
-                    group_names.iter().any(|n| fv.contains(n))
-                });
-                let mut outer_tvs = std::collections::BTreeSet::new();
-                gamma.ftv(&mut outer_tvs);
-                for a in omega.keys() {
-                    outer_tvs.insert(*a);
-                }
-                for (d, at) in defs.iter().zip(ats.iter()) {
-                    let scheme = &d.scheme;
-                    let pi = Pi::Scheme(scheme.clone(), *at);
-                    let BoxTy::Arrow(mu1, ae, mu2) = &scheme.body else {
-                        return Err("fun scheme body is not an arrow".into());
-                    };
-                    if !wf_pi(omega, &pi) {
-                        return Err(format!("fun `{}` scheme not well-formed in Ω", d.f).into());
-                    }
-                    // Side conditions.
-                    let bound: Effect = scheme
-                        .rvars
-                        .iter()
-                        .map(|r| Atom::Reg(*r))
-                        .chain(scheme.evars.iter().map(|e| Atom::Eff(*e)))
-                        .collect();
-                    if recursive {
-                        let mut dfr = Effect::new();
-                        delta_frev(&scheme.delta_map(), &mut dfr);
-                        if bound.intersection(&dfr).next().is_some() {
-                            return Err("recursive fun: quantified ρ⃗ε⃗ intersect frev(∆)".into());
-                        }
-                    }
-                    let mut outer = Effect::new();
-                    delta_frev(omega, &mut outer);
-                    gamma.frev(&mut outer);
-                    outer.insert(Atom::Reg(*at));
-                    if bound.intersection(&outer).next().is_some() {
-                        return Err(format!(
-                            "fun `{}`: quantified variables occur free in Ω, Γ, or ρ",
-                            d.f
-                        )
-                        .into());
-                    }
-                    if scheme.delta.iter().any(|(a, _)| outer_tvs.contains(a)) {
-                        return Err("fun: dom(∆) occurs free in Ω or Γ".into());
-                    }
-                    let g2 = g_rec.extended(d.param, Pi::Mu(mu1.clone()));
-                    let (pb, phib) = self.check_in(&omega2, &g2, &d.body)?;
-                    let got = pb.as_mu().ok_or("fun body has a scheme type")?;
-                    if got != mu2 {
-                        return Err(format!(
-                            "fun `{}` body type mismatch:\n  annotated: {mu2:?}\n  computed:  {got:?}",
-                            d.f
-                        ).into());
-                    }
-                    // The arrow effect ε.φ denotes {ε} ∪ φ: recursive calls
-                    // put the handle itself into the body effect.
-                    let mut denoted = ae.latent.clone();
-                    denoted.insert(Atom::Eff(ae.handle));
-                    if !phib.is_subset(&denoted) {
-                        let missing: Vec<_> = phib.difference(&denoted).collect();
-                        return Err(format!(
-                            "fun `{}` body effect not included in latent effect; missing {missing:?}",
-                            d.f
-                        ).into());
-                    }
-                    let mut xs = group_names.clone();
-                    xs.push(d.param);
-                    self.gc_condition(omega, gamma, &d.body, &xs, &pi)
-                        .map_err(|e| e.with_blame(d.f))?;
-                }
-                let pi = Pi::Scheme(defs[*index].scheme.clone(), ats[*index]);
-                let eff: Effect = ats.iter().map(|r| Atom::Reg(*r)).collect();
-                Ok((pi, eff))
-            }
+            Term::Fix { defs, ats, index } => self.check_fix(omega, gamma, defs, ats, *index),
             Term::App(e1, e2) => {
                 let (p1, phi1) = self.check_in(omega, gamma, e1)?;
                 let m1 = p1
@@ -306,8 +282,8 @@ impl Checker {
             }
             Term::Let { x, rhs, body } => {
                 let (p1, phi1) = self.check_in(omega, gamma, rhs)?;
-                let g2 = gamma.extended(*x, p1);
-                let (p2, phi2) = self.check_in(omega, &g2, body)?;
+                let (p2, phi2) =
+                    gamma.with_bindings([(*x, p1)], |g| self.check_in(omega, g, body))?;
                 let mut phi = phi1;
                 phi.extend(phi2);
                 Ok((p2, phi))
@@ -317,10 +293,10 @@ impl Checker {
                 let mu = p.as_mu().ok_or("letregion body has a scheme type")?;
                 let mut outer = Effect::new();
                 delta_frev(omega, &mut outer);
-                gamma.frev(&mut outer);
                 mu.frev(&mut outer);
+                let free = |a: Atom| outer.contains(&a) || gamma.mentions(a);
                 for r in rvars {
-                    if outer.contains(&Atom::Reg(*r)) {
+                    if free(Atom::Reg(*r)) {
                         return Err(format!(
                             "letregion-bound {r} occurs free in Ω, Γ, or the result type"
                         )
@@ -328,7 +304,7 @@ impl Checker {
                     }
                 }
                 for ev in evars {
-                    if outer.contains(&Atom::Eff(*ev)) {
+                    if free(Atom::Eff(*ev)) {
                         return Err(format!(
                             "letregion-discharged {ev} occurs free in Ω, Γ, or the result type"
                         )
@@ -418,9 +394,9 @@ impl Checker {
                     return Err("case scrutinee is not a list".into());
                 };
                 let (pn, phin) = self.check_in(omega, gamma, nil_rhs)?;
-                let mut g2 = gamma.extended(*head, Pi::Mu(elem.clone()));
-                g2.insert(*tail, Pi::Mu(ms.clone()));
-                let (pc, phic) = self.check_in(omega, &g2, cons_rhs)?;
+                let binds = [(*head, Pi::Mu(elem.clone())), (*tail, Pi::Mu(ms.clone()))];
+                let (pc, phic) =
+                    gamma.with_bindings(binds, |g| self.check_in(omega, g, cons_rhs))?;
                 if pn != pc {
                     return Err("case branches have different types".into());
                 }
@@ -514,8 +490,9 @@ impl Checker {
                 };
                 let (pb, phib) = self.check_in(omega, gamma, body)?;
                 let arg_mu = want.clone().unwrap_or(Mu::Unit);
-                let g2 = gamma.extended(*arg, Pi::Mu(arg_mu));
-                let (ph, phih) = self.check_in(omega, &g2, handler)?;
+                let (ph, phih) = gamma.with_bindings([(*arg, Pi::Mu(arg_mu))], |g| {
+                    self.check_in(omega, g, handler)
+                })?;
                 if pb != ph {
                     return Err("handler result type differs from body".into());
                 }
@@ -524,6 +501,130 @@ impl Checker {
                 Ok((pb, phi))
             }
         }
+    }
+
+    /// [TeFun]/[TeRec] for member `index` of a `fun` group (kept out of
+    /// [`Checker::check_in`] so that its locals do not enlarge every
+    /// recursive frame).
+    fn check_fix(
+        &self,
+        omega: &Delta,
+        gamma: &mut TypeEnv,
+        defs: &[FixDef],
+        ats: &[RegVar],
+        index: usize,
+    ) -> CResult<(Pi, Effect)> {
+        if defs.len() != ats.len() || index >= defs.len() {
+            return Err("malformed fun group".into());
+        }
+        // Environment for the bodies: every sibling bound with its
+        // ∀ρ⃗ε⃗ scheme *without* ∆ — type-monomorphic, region- and
+        // effect-polymorphic recursion (rule [TeRec], extended to
+        // groups).
+        let rec_binds: Vec<(Symbol, Pi)> = defs
+            .iter()
+            .zip(ats.iter())
+            .map(|(d, at)| {
+                let f_scheme = Scheme {
+                    rvars: d.scheme.rvars.clone(),
+                    evars: d.scheme.evars.clone(),
+                    delta: Vec::new(),
+                    body: d.scheme.body.clone(),
+                };
+                (d.f, Pi::Scheme(f_scheme, *at))
+            })
+            .collect();
+        // Ω for the bodies includes every member's ∆ (type
+        // variables are shared across a group under monomorphic
+        // type recursion).
+        let mut omega2 = omega.clone();
+        for d in defs.iter() {
+            omega2.extend(d.scheme.delta.iter().cloned());
+        }
+        let group_names: Vec<Symbol> = defs.iter().map(|d| d.f).collect();
+        // The ∆-disjointness condition belongs to the recursive
+        // rule [TvRec]; the non-recursive rule [TvFun] permits
+        // quantified effect variables in ∆ ("parameterisation of
+        // effects associated with quantified type variables").
+        let recursive = defs.iter().any(|d| {
+            let fv = d.body.fpv();
+            group_names.iter().any(|n| fv.contains(n))
+        });
+        let mut omega_frev = Effect::new();
+        delta_frev(omega, &mut omega_frev);
+        for (d, at) in defs.iter().zip(ats.iter()) {
+            let scheme = &d.scheme;
+            let pi = Pi::Scheme(scheme.clone(), *at);
+            let BoxTy::Arrow(mu1, ae, mu2) = &scheme.body else {
+                return Err("fun scheme body is not an arrow".into());
+            };
+            if !wf_pi(omega, &pi) {
+                return Err(format!("fun `{}` scheme not well-formed in Ω", d.f).into());
+            }
+            // Side conditions.
+            let bound: Effect = scheme
+                .rvars
+                .iter()
+                .map(|r| Atom::Reg(*r))
+                .chain(scheme.evars.iter().map(|e| Atom::Eff(*e)))
+                .collect();
+            if recursive {
+                let mut dfr = Effect::new();
+                delta_frev(&scheme.delta_map(), &mut dfr);
+                if bound.intersection(&dfr).next().is_some() {
+                    return Err("recursive fun: quantified ρ⃗ε⃗ intersect frev(∆)".into());
+                }
+            }
+            if bound
+                .iter()
+                .any(|a| *a == Atom::Reg(*at) || omega_frev.contains(a) || gamma.mentions(*a))
+            {
+                return Err(format!(
+                    "fun `{}`: quantified variables occur free in Ω, Γ, or ρ",
+                    d.f
+                )
+                .into());
+            }
+            if scheme
+                .delta
+                .iter()
+                .any(|(a, _)| omega.contains_key(a) || gamma.mentions_tyvar(*a))
+            {
+                return Err("fun: dom(∆) occurs free in Ω or Γ".into());
+            }
+            let binds = rec_binds
+                .iter()
+                .cloned()
+                .chain([(d.param, Pi::Mu(mu1.clone()))]);
+            let (pb, phib) = gamma.with_bindings(binds, |g| self.check_in(&omega2, g, &d.body))?;
+            let got = pb.as_mu().ok_or("fun body has a scheme type")?;
+            if got != mu2 {
+                return Err(format!(
+                    "fun `{}` body type mismatch:\n  annotated: {mu2:?}\n  computed:  {got:?}",
+                    d.f
+                )
+                .into());
+            }
+            // The arrow effect ε.φ denotes {ε} ∪ φ: recursive calls
+            // put the handle itself into the body effect.
+            let mut denoted = ae.latent.clone();
+            denoted.insert(Atom::Eff(ae.handle));
+            if !phib.is_subset(&denoted) {
+                let missing: Vec<_> = phib.difference(&denoted).collect();
+                return Err(format!(
+                    "fun `{}` body effect not included in latent effect; missing {missing:?}",
+                    d.f
+                )
+                .into());
+            }
+            let mut xs = group_names.clone();
+            xs.push(d.param);
+            self.gc_condition(omega, gamma, &d.body, &xs, &pi)
+                .map_err(|e| e.with_blame(d.f))?;
+        }
+        let pi = Pi::Scheme(defs[index].scheme.clone(), ats[index]);
+        let eff: Effect = ats.iter().map(|r| Atom::Reg(*r)).collect();
+        Ok((pi, eff))
     }
 
     fn gc_condition(
@@ -544,7 +645,7 @@ impl Checker {
     fn check_prim(
         &self,
         omega: &Delta,
-        gamma: &TypeEnv,
+        gamma: &mut TypeEnv,
         op: PrimOp,
         args: &[Term],
         res_rho: Option<RegVar>,
@@ -694,7 +795,7 @@ impl Checker {
                     body: body.clone(),
                     at: *at,
                 };
-                let (pi, _) = self.check_in(&Delta::new(), &TypeEnv::default(), &lam)?;
+                let (pi, _) = self.check_in(&Delta::new(), &mut TypeEnv::default(), &lam)?;
                 let frv: crate::gcsafe::Regions = pi.frv().into_iter().collect();
                 if !crate::gcsafe::expr_contained(&frv, body) {
                     return Err(
@@ -709,7 +810,7 @@ impl Checker {
                     ats: ats.clone(),
                     index: *index,
                 };
-                let (pi, _) = self.check_in(&Delta::new(), &TypeEnv::default(), &fix)?;
+                let (pi, _) = self.check_in(&Delta::new(), &mut TypeEnv::default(), &fix)?;
                 let frv: crate::gcsafe::Regions = pi.frv().into_iter().collect();
                 for d in defs.iter() {
                     if !crate::gcsafe::expr_contained(&frv, &d.body) {

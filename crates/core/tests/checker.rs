@@ -198,6 +198,41 @@ fn tereg_rejects_region_free_in_env() {
     assert!(check(&wrapped).is_err());
 }
 
+#[test]
+fn tereg_ignores_a_shadowed_binding() {
+    // `s` is rebound to an int, so ρ of the first `s` is no longer free
+    // in Γ and the inner letregion may bind it.
+    let rho = RegVar::fresh();
+    let e = Term::let_(
+        "s",
+        Term::Str("a".into(), rho),
+        Term::let_(
+            "s",
+            Term::Int(1),
+            Term::letregion(vec![rho], vec![], Term::var("s")),
+        ),
+    );
+    check(&Term::letregion(vec![rho], vec![], e)).unwrap();
+}
+
+#[test]
+fn type_env_counts_only_visible_bindings() {
+    let x = Symbol::intern("x");
+    let (r1, r2) = (RegVar::fresh(), RegVar::fresh());
+    let outer = Pi::Mu(Mu::string(r1));
+    let inner = Pi::Mu(Mu::string(r2));
+    let mut env = TypeEnv::default();
+    env.insert(x, outer.clone());
+    env.with_bindings([(x, inner.clone())], |env| {
+        assert_eq!(env.lookup(x), Some(&inner));
+        assert!(!env.mentions(Atom::Reg(r1)));
+        assert!(env.mentions(Atom::Reg(r2)));
+    });
+    assert_eq!(env.lookup(x), Some(&outer));
+    assert!(env.mentions(Atom::Reg(r1)));
+    assert!(!env.mentions(Atom::Reg(r2)));
+}
+
 // ------------------------------------------------------- pairs and lists
 
 #[test]

@@ -104,16 +104,19 @@ impl<'a> Build<'a> {
     }
 
     /// Wraps `term` in `letregion` for every region/secondary effect
-    /// variable of `eff` that is not forbidden.
+    /// variable of `eff` that is not forbidden: pinned, quantified by an
+    /// enclosing `fun`, free in `env` or free in `pi`.
     pub fn close(&mut self, env: &TypeEnv, pi: &Pi, term: Term, eff: Effect) -> (Term, Effect) {
-        let mut forbidden = self.pinned.clone();
-        forbidden.extend(self.quantified.iter().copied());
-        env.frev(&mut forbidden);
-        pi.frev(&mut forbidden);
+        let mut in_pi = Effect::new();
+        pi.frev(&mut in_pi);
         let mut rvars = Vec::new();
         let mut evars = Vec::new();
         for a in &eff {
-            if forbidden.contains(a) {
+            if self.pinned.contains(a)
+                || self.quantified.contains(a)
+                || in_pi.contains(a)
+                || env.mentions(*a)
+            {
                 continue;
             }
             match a {
@@ -142,7 +145,7 @@ impl<'a> Build<'a> {
     }
 
     /// Builds a scoped subterm (a `letregion` placement point).
-    fn scoped(&mut self, env: &TypeEnv, c: &CTerm) -> BResult<(Term, Pi, Effect)> {
+    fn scoped(&mut self, env: &mut TypeEnv, c: &CTerm) -> BResult<(Term, Pi, Effect)> {
         let (t, pi, eff) = self.build(env, c)?;
         let (t, eff) = self.close(env, &pi, t, eff);
         Ok((t, pi, eff))
@@ -150,7 +153,7 @@ impl<'a> Build<'a> {
 
     /// Builds a term, returning it with its `π` and effect (computed the
     /// same way the Figure 4 checker computes them).
-    pub fn build(&mut self, env: &TypeEnv, c: &CTerm) -> BResult<(Term, Pi, Effect)> {
+    pub fn build(&mut self, env: &mut TypeEnv, c: &CTerm) -> BResult<(Term, Pi, Effect)> {
         match c {
             CTerm::Var(x) => match env.lookup(*x) {
                 Some(pi) => Ok((Term::Var(*x), pi.clone(), Effect::new())),
@@ -235,8 +238,8 @@ impl<'a> Build<'a> {
                 };
                 let (mu1, latent_handle) = (mu1.clone(), ae.handle);
                 let _ = latent_handle;
-                let env2 = env.extended(*param, Pi::Mu(mu1));
-                let (bt, _bpi, _beff) = self.scoped_lam_body(&env2, body)?;
+                let (bt, _bpi, _beff) =
+                    env.with_bindings([(*param, Pi::Mu(mu1))], |env| self.scoped(env, body))?;
                 Ok((
                     Term::Lam {
                         param: *param,
@@ -269,8 +272,8 @@ impl<'a> Build<'a> {
             CTerm::LetFun { group, body } => self.build_letfun(env, group, body),
             CTerm::Let { x, rhs, body } => {
                 let (rt, rpi, reff) = self.scoped(env, rhs)?;
-                let env2 = env.extended(*x, rpi);
-                let (bt, bpi, beff) = self.build(&env2, body)?;
+                let (bt, bpi, beff) =
+                    env.with_bindings([(*x, rpi)], |env| self.build(env, body))?;
                 let mut eff = reff;
                 eff.extend(beff);
                 let term = Term::Let {
@@ -407,9 +410,9 @@ impl<'a> Build<'a> {
                 };
                 let (elem, rho) = (elem.clone(), *rho);
                 let (nt, npi, neff) = self.scoped(env, nil_rhs)?;
-                let mut env2 = env.extended(*head, Pi::Mu(elem));
-                env2.insert(*tail, spi.clone());
-                let (ct, _cpi, ceff) = self.scoped(&env2, cons_rhs)?;
+                let binds = [(*head, Pi::Mu(elem)), (*tail, spi.clone())];
+                let (ct, _cpi, ceff) =
+                    env.with_bindings(binds, |env| self.scoped(env, cons_rhs))?;
                 let mut eff = seff;
                 eff.insert(Atom::Reg(rho));
                 eff.extend(neff);
@@ -509,8 +512,8 @@ impl<'a> Build<'a> {
             } => {
                 let (bt, bpi, beff) = self.scoped(env, body)?;
                 let arg_mu = self.exns.get(exn).cloned().flatten().unwrap_or(Mu::Unit);
-                let env2 = env.extended(*arg, Pi::Mu(arg_mu));
-                let (ht, _hpi, heff) = self.scoped(&env2, handler)?;
+                let (ht, _hpi, heff) =
+                    env.with_bindings([(*arg, Pi::Mu(arg_mu))], |env| self.scoped(env, handler))?;
                 let mut eff = beff;
                 eff.extend(heff);
                 Ok((
@@ -527,14 +530,9 @@ impl<'a> Build<'a> {
         }
     }
 
-    /// A lambda body: scoped, with no extra quantified atoms.
-    fn scoped_lam_body(&mut self, env: &TypeEnv, c: &CTerm) -> BResult<(Term, Pi, Effect)> {
-        self.scoped(env, c)
-    }
-
     fn build_letfun(
         &mut self,
-        env: &TypeEnv,
+        env: &mut TypeEnv,
         group: &[CFun],
         body: &CTerm,
     ) -> BResult<(Term, Pi, Effect)> {
@@ -544,12 +542,13 @@ impl<'a> Build<'a> {
             let (scheme, place) = self.core_scheme(&m.def);
             schemes.push((scheme, place));
         }
-        // Environment with all members bound.
-        let mut env2 = env.clone();
-        for (m, (scheme, place)) in group.iter().zip(&schemes) {
-            env2.insert(m.def.name, Pi::Scheme(scheme.clone(), *place));
-        }
-        // Build the bodies with the group's quantified atoms pinned.
+        // Build the bodies and the continuation with all members bound,
+        // the bodies with the group's quantified atoms pinned.
+        let members: Vec<(Symbol, Pi)> = group
+            .iter()
+            .zip(&schemes)
+            .map(|(m, (scheme, place))| (m.def.name, Pi::Scheme(scheme.clone(), *place)))
+            .collect();
         let mut quantified = Effect::new();
         for (scheme, _) in &schemes {
             for r in &scheme.rvars {
@@ -559,27 +558,31 @@ impl<'a> Build<'a> {
                 quantified.insert(Atom::Eff(*e));
             }
         }
-        let saved_quantified = self.quantified.clone();
-        self.quantified.extend(quantified.iter().copied());
-        let mut defs = Vec::new();
-        for (m, (scheme, _place)) in group.iter().zip(&schemes) {
-            let BoxTy::Arrow(mu1, _, _) = &scheme.body else {
-                return err("pass 2: fun scheme body is not an arrow");
-            };
-            let env3 = env2.extended(m.param, Pi::Mu(mu1.clone()));
-            let (bt, _bpi, _beff) = self.scoped(&env3, &m.body)?;
-            defs.push(FixDef {
-                f: m.def.name,
-                scheme: scheme.clone(),
-                param: m.param,
-                body: bt,
-            });
-        }
-        self.quantified = saved_quantified;
+        let (defs, (bt, bpi, mut eff)) = env.with_bindings(members, |env| {
+            let saved_quantified = self.quantified.clone();
+            self.quantified.extend(quantified.iter().copied());
+            let mut defs = Vec::new();
+            for (m, (scheme, _place)) in group.iter().zip(&schemes) {
+                let BoxTy::Arrow(mu1, _, _) = &scheme.body else {
+                    return err("pass 2: fun scheme body is not an arrow");
+                };
+                let (bt, _bpi, _beff) = env
+                    .with_bindings([(m.param, Pi::Mu(mu1.clone()))], |env| {
+                        self.scoped(env, &m.body)
+                    })?;
+                defs.push(FixDef {
+                    f: m.def.name,
+                    scheme: scheme.clone(),
+                    param: m.param,
+                    body: bt,
+                });
+            }
+            self.quantified = saved_quantified;
+            // Continuation.
+            Ok((defs, self.build(env, body)?))
+        })?;
         let defs = Rc::new(defs);
         let ats: Rc<Vec<RegVar>> = Rc::new(schemes.iter().map(|(_, p)| *p).collect());
-        // Continuation.
-        let (bt, bpi, mut eff) = self.build(&env2, body)?;
         for (_, p) in &schemes {
             eff.insert(Atom::Reg(*p));
         }

@@ -98,9 +98,25 @@ enum REntry {
     /// shared between instantiations.
     PolyVal {
         rhs: Rc<rml_hm::TExpr>,
-        env_snapshot: Rc<Vec<(Symbol, REntry)>>,
+        env_snapshot: Rc<Vec<Binding>>,
         hm_vars: Rc<Vec<u32>>,
     },
+}
+
+/// An environment entry with what it mentions, computed once when it is
+/// bound ([`Constrain::bind`]).
+#[derive(Clone)]
+struct Binding {
+    name: Symbol,
+    entry: REntry,
+    /// The atoms the entry mentions, as of when it was bound: the surface
+    /// atoms of its type (and a `fun`'s place); for a generalised `fun`,
+    /// its place and the closure of its scheme's atoms minus the quantified
+    /// ones. Queries canonicalise and close them (DESIGN "What the
+    /// environment mentions").
+    atoms: Rc<[AtomI]>,
+    /// The entry's free type variables.
+    tvs: Rc<[TyVar]>,
 }
 
 /// The pass-1 context.
@@ -111,7 +127,7 @@ pub struct Constrain {
     pub strategy: Strategy,
     /// How spurious type variables get their arrow effects.
     pub style: SpuriousStyle,
-    env: Vec<(Symbol, REntry)>,
+    env: Vec<Binding>,
     /// `ω`: arrow-effect association for (candidate) spurious tyvars.
     pub omega: BTreeMap<TyVar, EpsId>,
     /// Type variables marked spurious.
@@ -166,8 +182,8 @@ impl Constrain {
         }
     }
 
-    fn lookup(&self, x: Symbol) -> Option<&REntry> {
-        self.env.iter().rev().find(|(y, _)| *y == x).map(|(_, e)| e)
+    fn lookup(&self, x: Symbol) -> Option<&Binding> {
+        self.env.iter().rev().find(|b| b.name == x)
     }
 
     fn spread(&mut self, ty: &Ty) -> RTy {
@@ -180,54 +196,50 @@ impl Constrain {
 
     // --- environment atom bookkeeping --------------------------------
 
-    fn entry_surface_atoms(&self, e: &REntry, out: &mut BTreeSet<AtomI>) {
-        match e {
+    /// Pushes an entry, with the atoms and type variables it mentions.
+    fn bind(&mut self, name: Symbol, entry: REntry) {
+        let mut atoms = BTreeSet::new();
+        let mut tvs = BTreeSet::new();
+        match &entry {
             // Inlined-per-occurrence values contribute no shared atoms.
             REntry::PolyVal { .. } => {}
-            REntry::Mono(rty) | REntry::FunRec(_, rty) => {
-                rty.frev(&self.st, out);
-                if let REntry::FunRec(fd, _) = e {
-                    out.insert(AtomI::Rho(self.st.find_rho(fd.place)));
-                }
+            REntry::Mono(rty) => {
+                rty.frev(&self.st, &mut atoms);
+                rty.ftv(&mut tvs);
+            }
+            REntry::FunRec(fd, rty) => {
+                rty.frev(&self.st, &mut atoms);
+                atoms.insert(AtomI::Rho(fd.place));
+                rty.ftv(&mut tvs);
             }
             REntry::Fun(fd) => {
-                out.insert(AtomI::Rho(self.st.find_rho(fd.place)));
                 let info = fd.scheme.borrow();
                 let info = info.as_ref().expect("generalised fun without scheme");
                 let mut body_atoms = BTreeSet::new();
                 info.body.frev(&self.st, &mut body_atoms);
                 for (_, eps, _) in &info.delta {
-                    body_atoms.insert(AtomI::Eps(self.st.find_eps(*eps)));
+                    body_atoms.insert(AtomI::Eps(*eps));
                 }
-                let mut closure = self.st.atom_closure(&body_atoms);
+                atoms = self.st.atom_closure(&body_atoms);
                 for r in &info.rvars {
-                    closure.remove(&AtomI::Rho(self.st.find_rho(*r)));
+                    atoms.remove(&AtomI::Rho(self.st.find_rho(*r)));
                 }
                 for ev in &info.evars {
-                    closure.remove(&AtomI::Eps(self.st.find_eps(*ev)));
+                    atoms.remove(&AtomI::Eps(self.st.find_eps(*ev)));
                 }
-                out.extend(closure);
-            }
-        }
-    }
-
-    fn entry_ftv(&self, e: &REntry, out: &mut BTreeSet<TyVar>) {
-        match e {
-            REntry::PolyVal { .. } => {}
-            REntry::Mono(rty) | REntry::FunRec(_, rty) => {
-                rty.ftv(out);
-            }
-            REntry::Fun(fd) => {
-                let info = fd.scheme.borrow();
-                let info = info.as_ref().expect("generalised fun without scheme");
-                let mut tvs = BTreeSet::new();
+                atoms.insert(AtomI::Rho(fd.place));
                 info.body.ftv(&mut tvs);
                 for (a, _, _) in &info.delta {
                     tvs.remove(a);
                 }
-                out.extend(tvs);
             }
         }
+        self.env.push(Binding {
+            name,
+            entry,
+            atoms: atoms.into_iter().collect(),
+            tvs: tvs.into_iter().collect(),
+        });
     }
 
     /// Adds the visible part of a body effect to a latent effect: kept
@@ -253,6 +265,9 @@ impl Constrain {
     /// The atoms visible outside a function body: the closure of
     /// everything free in the environment plus the given types. Effects on
     /// other atoms are body-local and handled by interior `letregion`s.
+    /// The environment's part comes from the atoms each entry cached when
+    /// it was bound ([`Constrain::env_forbidden_atoms`]); only the given
+    /// types are walked here.
     fn visible_atoms(&self, tys: &[&RTy]) -> BTreeSet<AtomI> {
         let mut keep = self.env_forbidden_atoms();
         let mut s = BTreeSet::new();
@@ -265,21 +280,23 @@ impl Constrain {
 
     /// The atoms a generalisation must not quantify: everything free in
     /// the environment (through latent closures and `ω` of free tyvars)
-    /// plus the pinned globals.
+    /// plus the pinned globals. Each entry's atoms and free type variables
+    /// are cached in its [`Binding`] when it is bound; a query
+    /// canonicalises and closes their union once, with `ω` read now. The
+    /// result equals a walk over the entries at query time (DESIGN "What
+    /// the environment mentions").
     fn env_forbidden_atoms(&self) -> BTreeSet<AtomI> {
         let mut surface = BTreeSet::new();
-        let mut tvs = BTreeSet::new();
-        for (_, e) in &self.env {
-            self.entry_surface_atoms(e, &mut surface);
-            self.entry_ftv(e, &mut tvs);
-        }
-        for a in tvs {
-            if let Some(eps) = self.omega.get(&a) {
-                surface.insert(AtomI::Eps(self.st.find_eps(*eps)));
+        for b in &self.env {
+            surface.extend(b.atoms.iter().copied());
+            for a in b.tvs.iter() {
+                if let Some(eps) = self.omega.get(a) {
+                    surface.insert(AtomI::Eps(*eps));
+                }
             }
         }
-        surface.insert(AtomI::Rho(self.st.find_rho(self.global_rho)));
-        surface.insert(AtomI::Eps(self.st.find_eps(self.global_eps)));
+        surface.insert(AtomI::Rho(self.global_rho));
+        surface.insert(AtomI::Eps(self.global_eps));
         for rty in self.exns.values().flatten() {
             rty.frev(&self.st, &mut surface);
         }
@@ -324,16 +341,14 @@ impl Constrain {
     /// and atoms that appear in the type itself (e.g. through the result
     /// type, as in Figure 2(a)) need no latent entry. This is what lets
     /// `rg-` reproduce the unsound deallocation of Figure 2(a).
-    fn capture(&mut self, lam_eps: EpsId, arrow: &RTy, fn_ftv: &BTreeSet<TyVar>, entry: &REntry) {
+    fn capture(&mut self, lam_eps: EpsId, arrow: &RTy, fn_ftv: &BTreeSet<TyVar>, entry: &Binding) {
         if self.strategy == Strategy::R {
             return;
         }
         let mut arrow_frev = BTreeSet::new();
         arrow.frev(&self.st, &mut arrow_frev);
         let arrow_closure = self.st.atom_closure(&arrow_frev);
-        let mut atoms = BTreeSet::new();
-        self.entry_surface_atoms(entry, &mut atoms);
-        let atoms = self.st.atom_closure(&atoms);
+        let atoms = self.st.atom_closure(entry.atoms.iter());
         for a in atoms {
             if !arrow_closure.contains(&a) {
                 self.st.add_atom(lam_eps, a);
@@ -342,9 +357,7 @@ impl Constrain {
         if self.strategy != Strategy::Rg {
             return;
         }
-        let mut tvs = BTreeSet::new();
-        self.entry_ftv(entry, &mut tvs);
-        for alpha in tvs {
+        for &alpha in entry.tvs.iter() {
             let in_fn_type = fn_ftv.contains(&alpha);
             let eps = self.ensure_omega(alpha, in_fn_type, lam_eps);
             let root = AtomI::Eps(self.st.find_eps(eps));
@@ -461,7 +474,7 @@ impl Constrain {
         inst: &Option<Vec<Ty>>,
     ) -> IResult<(CTerm, RTy, BTreeSet<AtomI>)> {
         let entry = match self.lookup(name) {
-            Some(e) => e.clone(),
+            Some(b) => b.entry.clone(),
             None => return err(format!("unbound variable `{name}` in region inference")),
         };
         match entry {
@@ -559,7 +572,7 @@ impl Constrain {
             } => {
                 self.provenance.entry(*param).or_insert(e.span);
                 let param_rty = self.spread(param_ty);
-                self.env.push((*param, REntry::Mono(param_rty.clone())));
+                self.bind(*param, REntry::Mono(param_rty.clone()));
                 let (cb, rty_b, eff_b) = self.expr(body)?;
                 self.env.pop();
                 let eps = self.st.fresh_eps();
@@ -748,8 +761,8 @@ impl Constrain {
                 };
                 let (elem, rho) = (elem.clone(), *rho);
                 let (cn, tn, en) = self.expr(nil_rhs)?;
-                self.env.push((*head, REntry::Mono(elem)));
-                self.env.push((*tail, REntry::Mono(ts.clone())));
+                self.bind(*head, REntry::Mono(elem));
+                self.bind(*tail, REntry::Mono(ts.clone()));
                 let (cc, tc, ec) = self.expr(cons_rhs)?;
                 self.env.pop();
                 self.env.pop();
@@ -844,7 +857,7 @@ impl Constrain {
                     Some(None) => RTy::Unit,
                     None => return err(format!("unknown exception `{exn}`")),
                 };
-                self.env.push((*arg, REntry::Mono(arg_rty)));
+                self.bind(*arg, REntry::Mono(arg_rty));
                 let (ch, th, ehh) = self.expr(handler)?;
                 self.env.pop();
                 self.unify(&tb, &th)?;
@@ -914,8 +927,7 @@ impl Constrain {
         }
         let saved = self.env.len();
         for ((fd, proto), b) in defs.iter().zip(group) {
-            self.env
-                .push((b.name, REntry::FunRec(fd.clone(), proto.clone())));
+            self.bind(b.name, REntry::FunRec(fd.clone(), proto.clone()));
         }
         // Is the group actually recursive? (Determines whether the
         // scheme may quantify effect variables referenced from ∆.)
@@ -934,7 +946,7 @@ impl Constrain {
                 return err("fun prototype is not an arrow");
             };
             let (arg, res, eps) = (arg.clone(), res.clone(), eps);
-            self.env.push((b.param, REntry::Mono(arg.clone())));
+            self.bind(b.param, REntry::Mono(arg.clone()));
             let (cb, rty_b, eff_b) = self.expr(&b.body)?;
             self.env.pop();
             self.unify(&res, &rty_b)?;
@@ -1015,7 +1027,7 @@ impl Constrain {
                 delta,
                 body: proto.clone(),
             });
-            self.env.push((b.name, REntry::Fun(fd.clone())));
+            self.bind(b.name, REntry::Fun(fd.clone()));
         }
         Ok((cfuns, eff))
     }
@@ -1047,20 +1059,18 @@ impl Constrain {
                     }
                     if scheme.vars.is_empty() {
                         let (c, rty, eff) = self.expr(rhs)?;
-                        self.env.push((*name, REntry::Mono(rty)));
+                        self.bind(*name, REntry::Mono(rty));
                         out.push(CBind::Val(*name, c, eff));
                     } else {
                         // Polymorphic non-function value: inlined per
                         // occurrence (value restriction ⇒ effect-free, so
                         // eliding the binding is sound).
-                        self.env.push((
-                            *name,
-                            REntry::PolyVal {
-                                rhs: Rc::new(rhs.clone()),
-                                env_snapshot: Rc::new(self.env.clone()),
-                                hm_vars: Rc::new(scheme.vars.clone()),
-                            },
-                        ));
+                        let entry = REntry::PolyVal {
+                            rhs: Rc::new(rhs.clone()),
+                            env_snapshot: Rc::new(self.env.clone()),
+                            hm_vars: Rc::new(scheme.vars.clone()),
+                        };
+                        self.bind(*name, entry);
                     }
                 }
                 TBind::Fun(group) => {
@@ -1127,7 +1137,7 @@ impl Constrain {
         // Final expression: main () when a unary unit function `main`
         // exists; otherwise unit.
         let main = Symbol::intern("main");
-        let (mut body, mut eff) = match self.lookup(main).cloned() {
+        let (mut body, mut eff) = match self.lookup(main).map(|b| b.entry.clone()) {
             Some(entry @ (REntry::Fun(_) | REntry::FunRec(..) | REntry::Mono(_))) => {
                 // Instantiate any residual type variables of main (e.g. a
                 // main that always raises) at unit.

@@ -127,10 +127,10 @@ pub fn infer(p: &TProgram, opts: Options) -> Result<Output, InferError> {
     let provenance = c.provenance.clone();
     let (mut b, exns) = build::Build::new(&mut c);
     let global = b.global_region(global_rho);
-    let env = rml_core::TypeEnv::default();
+    let mut env = rml_core::TypeEnv::default();
     let (term, pi, eff) = {
         let _s = rml_session::trace::span("infer.build", "pipeline");
-        b.build(&env, &cterm)?
+        b.build(&mut env, &cterm)?
     };
     // Close the program: everything not global dies here.
     let (term, _eff) = {

@@ -28,10 +28,11 @@
 //!   latent set actually grew* as dirty — sound because latent sets are
 //!   kept eagerly transitively closed, so any root whose closure changes
 //!   also has its own latent set change (via container propagation) and
-//!   is therefore marked. Unions still force a full flush (they change
-//!   canonical representatives, staling every memoised canonicalised
-//!   set), via a separate union generation counter. Path compression
-//!   invalidates nothing — it never changes a representative;
+//!   is therefore marked. A union makes only its loser non-canonical, so
+//!   it evicts only the memoised sets that mention the loser (the growth
+//!   of the winner's latent set marks its containers dirty as above).
+//!   Path compression invalidates nothing — it never changes a
+//!   representative;
 //! * **hash-consed result sets**: the memoised latent/closure sets are
 //!   interned through [`rml_session::Interner`], so structurally equal
 //!   sets (ubiquitous once effects are unified) share one allocation and
@@ -145,13 +146,13 @@ pub struct Store {
     rho_core: BTreeMap<u32, RegVar>,
     /// Core variable assigned to each eps root at resolution time.
     eps_core: BTreeMap<u32, EffVar>,
-    /// Union generation; bumped only by `union_rho`/`union_eps`. Unions
-    /// change canonical representatives, so they stale *every* memoised
-    /// canonicalised set at once.
-    union_epoch: Cell<u64>,
-    /// Union generation the memos below were built at; on mismatch they
-    /// are cleared wholesale by the next query.
-    memo_union_epoch: Cell<u64>,
+    /// Atoms that stopped being canonical (the losers of `union_rho` and
+    /// `union_eps`) since the memos were last refreshed. A memoised set
+    /// that mentions one is stale and is evicted by the next query; no
+    /// other set is, because a union changes no other representative and
+    /// a root whose closure grows has its latent set grow too (see
+    /// `dirty`).
+    merged: RefCell<Vec<AtomI>>,
     /// Eps roots whose latent set grew (via `add_atom`) since the memos
     /// were last refreshed; only these entries are evicted. Sound because
     /// latent sets are eagerly closed: a root whose *closure* changes has
@@ -239,10 +240,6 @@ impl Store {
         }
     }
 
-    fn bump_union_epoch(&self) {
-        self.union_epoch.set(self.union_epoch.get() + 1);
-    }
-
     /// Picks (winner, loser) by rank with a deterministic tiebreak
     /// (lower id wins), bumping the winner's rank on ties.
     fn pick(rank: &mut [u8], a: u32, b: u32) -> (u32, u32) {
@@ -266,9 +263,9 @@ impl Store {
             return;
         }
         self.unions.set(self.unions.get() + 1);
-        self.bump_union_epoch();
         let (win, lose) = Self::pick(&mut self.rho_rank, ra.0, rb.0);
         self.rho_parent[lose as usize].set(win);
+        self.merged.get_mut().push(AtomI::Rho(RhoId(lose)));
         // Resolution normally happens after all unions, but keep any
         // already-assigned core variable reachable from the new root.
         if let Some(v) = self.rho_core.remove(&lose) {
@@ -285,9 +282,9 @@ impl Store {
             return;
         }
         self.unions.set(self.unions.get() + 1);
-        self.bump_union_epoch();
         let (win, lose) = Self::pick(&mut self.eps_rank, ra.0, rb.0);
         self.eps_parent[lose as usize].set(win);
+        self.merged.get_mut().push(AtomI::Eps(EpsId(lose)));
         if let Some(v) = self.eps_core.remove(&lose) {
             self.eps_core.entry(win).or_insert(v);
         }
@@ -353,17 +350,15 @@ impl Store {
     }
 
     /// Reconciles the memos with mutations since they were last used.
-    /// Called at the top of every memoised query. A union since the last
-    /// refresh clears everything (representatives changed); otherwise only
-    /// the roots whose latent sets grew are evicted.
+    /// Called at the top of every memoised query. A set that mentions an
+    /// atom merged away by a union is evicted, and so are the entries of
+    /// the roots whose latent sets grew.
     fn refresh_memos(&self) {
-        let now = self.union_epoch.get();
-        if self.memo_union_epoch.get() != now {
-            self.latent_memo.borrow_mut().clear();
-            self.closure_memo.borrow_mut().clear();
-            self.dirty.borrow_mut().clear();
-            self.memo_union_epoch.set(now);
-            return;
+        let merged = std::mem::take(&mut *self.merged.borrow_mut());
+        if !merged.is_empty() {
+            let fresh = |set: &Rc<BTreeSet<AtomI>>| !merged.iter().any(|a| set.contains(a));
+            self.latent_memo.borrow_mut().retain(|_, set| fresh(set));
+            self.closure_memo.borrow_mut().retain(|_, set| fresh(set));
         }
         let mut dirty = self.dirty.borrow_mut();
         if !dirty.is_empty() {
@@ -454,7 +449,7 @@ impl Store {
     }
 
     /// The transitive atom closure (regions and effect variables).
-    pub fn atom_closure(&self, s: &BTreeSet<AtomI>) -> BTreeSet<AtomI> {
+    pub fn atom_closure<'a>(&self, s: impl IntoIterator<Item = &'a AtomI>) -> BTreeSet<AtomI> {
         self.refresh_memos();
         let mut out = BTreeSet::new();
         for a in s {
@@ -719,20 +714,37 @@ mod tests {
     }
 
     #[test]
-    fn union_flushes_all_memos() {
+    fn union_evicts_only_stale_memos() {
         let mut st = Store::new();
         let e1 = st.fresh_eps();
         let e2 = st.fresh_eps();
         let e3 = st.fresh_eps();
+        let winner = st.fresh_rho();
         let r = st.fresh_rho();
         st.add_atom(e1, AtomI::Rho(r));
         let _ = st.latent_of(e1);
         let rec0 = st.stats().closure_recomputes;
-        // Even an unrelated union changes canonical representatives, so
-        // every memoised canonicalised set is conservatively dropped.
+        // A union that changes no atom of the memoised set keeps it.
         st.union_eps(e2, e3);
         let _ = st.latent_of(e1);
+        assert_eq!(st.stats().closure_recomputes, rec0);
+        // `r` stops being canonical (the lower id wins a tie), so the set
+        // that mentions it is recomputed with the new representative.
+        st.union_rho(r, winner);
+        let l = st.latent_of(e1);
         assert_eq!(st.stats().closure_recomputes, rec0 + 1);
+        assert_eq!(*l, BTreeSet::from([AtomI::Rho(winner)]));
+        // Likewise for an effect variable: `c`'s closure mentions `x`
+        // until `x` is merged into `w`, which adds nothing to `c`'s latent.
+        let w = st.fresh_eps();
+        let x = st.fresh_eps();
+        let c = st.fresh_eps();
+        st.add_atom(c, AtomI::Eps(x));
+        let one = BTreeSet::from([AtomI::Eps(c)]);
+        assert!(st.atom_closure(&one).contains(&AtomI::Eps(x)));
+        st.union_eps(x, w);
+        let both = BTreeSet::from([AtomI::Eps(c), AtomI::Eps(w)]);
+        assert_eq!(st.atom_closure(&one), both);
     }
 
     #[test]

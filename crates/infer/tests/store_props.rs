@@ -257,7 +257,7 @@ enum SOp {
     /// spot. Interleaving queries with mutations is what exercises the
     /// memo machinery: each query populates the per-root caches, and the
     /// next mutation must evict exactly the stale entries (per-root dirty
-    /// bits for inserts, a full flush for unions).
+    /// bits for inserts; for a union, the sets that mention its loser).
     Query(usize),
 }
 
