@@ -95,7 +95,6 @@ fn main() {
 
     let topts = rml::torture::TortureOpts {
         fuel: torture_fuel,
-        with_basis: false, // generated programs are self-contained
         ..Default::default()
     };
 

@@ -22,7 +22,8 @@
 //! The summary line also reports value coverage: how many matrix cells
 //! ran to a value (the rest agreed on a fault, usually running out of
 //! fuel) and how many programs got far enough for the fault probes to
-//! run. Coverage is reported, not gated.
+//! run. CI fails the job when this coverage drops below the floor
+//! committed in its workflow.
 //!
 //! Exit status is non-zero when any program diverges.
 
@@ -34,7 +35,6 @@ fn main() {
     let opts = rml::torture::TortureOpts {
         seed,
         fuel,
-        with_basis: true,
         ..Default::default()
     };
     eprintln!("torturing the suite (seed {seed:#x}, fuel {fuel})...");

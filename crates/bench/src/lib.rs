@@ -659,7 +659,6 @@ mod tests {
         };
         let opts = rml::torture::TortureOpts {
             fuel: 50_000,
-            with_basis: true,
             ..Default::default()
         };
         let rep = rml::run_with_big_stack(move || {
@@ -681,7 +680,6 @@ mod tests {
     fn differential_oracle_accepts_the_strings_program() {
         let opts = rml::torture::TortureOpts {
             fuel: 30_000,
-            with_basis: true,
             ..Default::default()
         };
         let rep = rml::run_with_big_stack(move || {

@@ -5,6 +5,9 @@
 //! Unlike the substitution-based formal semantics in `rml-core` (used for
 //! metatheory), this machine is a performance model of compiled code:
 //!
+//! * a program is [`lower()`]ed once, into a code vector with
+//!   slot-resolved variables and regions, and every [`run`] of it starts
+//!   from that [`Lowered`] program and a fresh heap,
 //! * closures are **heap objects** that capture the values of their free
 //!   variables (and the regions of their free region variables), so the
 //!   collector traces real pointers — including the dangling ones that
@@ -21,12 +24,13 @@
 //! # Example
 //!
 //! ```
-//! use rml_eval::{run, ExecOpts, RunValue};
+//! use rml_eval::{lower, run, ExecOpts, RunValue};
 //! let prog = rml_syntax::parse_program("fun main () = 21 + 21").unwrap();
 //! let typed = rml_hm::infer_program(&prog).unwrap();
 //! let out = rml_infer::infer(&typed, Default::default()).unwrap();
 //! let repr = rml_repr::analyze(&out.term);
-//! let res = run(&out.term, out.global, &repr, &ExecOpts::default()).unwrap();
+//! let lowered = lower(&out.term, out.global, &repr);
+//! let res = run(&lowered, &ExecOpts::default()).unwrap();
 //! assert_eq!(res.value, RunValue::Int(42));
 //! ```
 
@@ -40,4 +44,5 @@ mod lower;
 mod machine;
 
 pub use decode::RunValue;
-pub use machine::{run, ExecOpts, GcPolicy, RunError, RunOutcome, StressSchedule, VerifyLevel};
+pub use lower::{lower, Lowered};
+pub use machine::{run, ExecOpts, GcPolicy, RunError, RunOutcome, StressSchedule};

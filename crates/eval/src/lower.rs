@@ -1,6 +1,7 @@
-//! Lowering: one pass over the region-annotated term, run at the start of
-//! every [`crate::run`], that flattens it into a code vector the machine
-//! walks by index.
+//! Lowering: one pass over the region-annotated term, run once per
+//! compilation, that flattens it into a code vector the machine walks by
+//! index. It reads no run option, so one [`Lowered`] serves every
+//! [`crate::run`] of the program.
 //!
 //! * Program variables become value-slot offsets and region variables
 //!   become region-slot offsets, both relative to the base of the
@@ -10,7 +11,9 @@
 //! * Every lambda and `fun` member gets a code id; closure-creating nodes
 //!   carry the code id and the slots their captures are read from.
 //! * `letregion` binders carry their multiplicity bound and
-//!   representation, looked up in the [`ReprInfo`] once.
+//!   representation, looked up in the [`ReprInfo`] once; the machine
+//!   drops the untagged representation when a run asks for tagged
+//!   objects ([`crate::ExecOpts::tag_free`]).
 //!
 //! Activation layout (offsets from the activation base):
 //!
@@ -32,14 +35,15 @@ use rml_syntax::ast::PrimOp;
 use rml_syntax::Symbol;
 use std::collections::HashMap;
 
-/// Index into [`Program::nodes`].
+/// Index into [`Lowered::nodes`].
 pub type Pc = u32;
 /// Slot offset from an activation's value or region base.
 pub type Slot = i32;
-/// Index into [`Program::codes`].
+/// Index into [`Lowered::codes`].
 pub type CodeId = usize;
 
 /// A lowered term: the operation plus the number of locals in scope.
+#[derive(Debug)]
 pub struct Node {
     /// The operation.
     pub op: Op,
@@ -48,6 +52,7 @@ pub struct Node {
 }
 
 /// Lowered operations, one per [`Term`] form; fields follow the term's.
+#[derive(Debug)]
 pub enum Op {
     Unit,
     Int(i64),
@@ -91,7 +96,7 @@ pub enum Op {
 
 /// One function body and its closure layout
 /// `[code][rparams][frvs][siblings][captures]`.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Code {
     /// Entry node.
     pub body: Pc,
@@ -121,6 +126,7 @@ impl Code {
 }
 
 /// Where one closure of a [`Op::Closure`] reads its captures from.
+#[derive(Debug)]
 pub struct Site {
     /// The closure's code.
     pub code: CodeId,
@@ -133,25 +139,27 @@ pub struct Site {
 }
 
 /// A `letregion` binder's region: finite with a multiplicity bound, or
-/// infinite (`None`); untagged when `uniform` is set.
+/// infinite (`None`); untagged when `uniform` is set and the run is
+/// tag-free.
+#[derive(Debug)]
 pub struct RegionSpec {
     pub bound: Option<u64>,
     pub uniform: Option<UniformKind>,
 }
 
-/// A lowered program.
-#[derive(Default)]
-pub struct Program {
-    pub nodes: Vec<Node>,
-    pub codes: Vec<Code>,
-    pub sites: Vec<Site>,
+/// A lowered program, the input of [`crate::run`].
+#[derive(Debug, Default)]
+pub struct Lowered {
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) codes: Vec<Code>,
+    pub(crate) sites: Vec<Site>,
     /// Region instantiations `(domain variable, caller region slot)`,
     /// sorted by domain variable.
-    pub insts: Vec<Box<[(RegVar, Slot)]>>,
-    pub specs: Vec<RegionSpec>,
+    pub(crate) insts: Vec<Box<[(RegVar, Slot)]>>,
+    pub(crate) specs: Vec<RegionSpec>,
     /// The program body. Its one region parameter is the global region;
     /// its free region variables are the program's residual regions.
-    pub main: Code,
+    pub(crate) main: Code,
 }
 
 /// A function being lowered.
@@ -171,9 +179,8 @@ struct Fun {
 }
 
 struct Lower<'t> {
-    prog: Program,
+    prog: Lowered,
     repr: &'t ReprInfo,
-    tag_free: bool,
     vals: Vec<(Symbol, Slot)>,
     regs: Vec<(RegVar, Slot)>,
     cur: Fun,
@@ -181,13 +188,12 @@ struct Lower<'t> {
     groups: HashMap<*const Vec<FixDef>, CodeId>,
 }
 
-/// Lowers a program whose global region variable is `global`; untagged
-/// regions are used only when `tag_free`.
-pub fn lower(term: &Term, global: RegVar, repr: &ReprInfo, tag_free: bool) -> Program {
+/// Lowers a program whose global region variable is `global`; `repr`
+/// says which `letregion` regions are finite or untagged.
+pub fn lower(term: &Term, global: RegVar, repr: &ReprInfo) -> Lowered {
     let mut l = Lower {
-        prog: Program::default(),
+        prog: Lowered::default(),
         repr,
-        tag_free,
         vals: Vec::new(),
         regs: Vec::new(),
         cur: Fun::default(),
@@ -407,7 +413,7 @@ impl Lower<'_> {
                 for rv in rvars {
                     self.prog.specs.push(RegionSpec {
                         bound: self.repr.finite.get(rv).copied(),
-                        uniform: self.repr.uniform.get(rv).filter(|_| self.tag_free).copied(),
+                        uniform: self.repr.uniform.get(rv).copied(),
                     });
                     self.regs.push((*rv, self.cur.rdepth as Slot));
                     self.cur.rdepth += 1;

@@ -1,4 +1,4 @@
-//! The machine proper: runs the code vector built by [`crate::lower`].
+//! The machine proper: runs the code vector built by [`crate::lower()`].
 //!
 //! Each function call pushes one activation holding the callee's value
 //! and region slots; continuation frames that resume evaluation in a
@@ -8,9 +8,8 @@
 //! scope has ended, which would be the paper's dead-but-traced value.
 
 use crate::decode::RunValue;
-use crate::lower::{Code, Op, Pc, Program, Site, Slot};
+use crate::lower::{Code, Lowered, Op, Pc, Site, Slot};
 use rml_core::vars::RegVar;
-use rml_repr::ReprInfo;
 use rml_runtime::{GcError, GcPause, Heap, ObjKind, RegionId, RegionKind, Word};
 use rml_session::trace;
 use rml_syntax::ast::PrimOp;
@@ -100,30 +99,20 @@ impl GcPolicy {
     }
 }
 
-/// When the heap-invariant verifier walks the heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyLevel {
-    /// Never (production runs).
-    #[default]
-    Off,
-    /// After every successful collection.
-    AfterGc,
-    /// After every machine step (torture runs; very slow).
-    EveryStep,
-}
-
-/// Run options: the knobs a user sets. The program itself — its term,
-/// global region and region representations — is passed to [`run`].
+/// Run options: the knobs a user sets. The program itself, lowered once
+/// per compilation by [`crate::lower()`], is passed to [`run`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOpts {
     /// Collection policy; `None` is [`GcPolicy::default_on`] (the `rml`
-    /// facade picks `Off` for strategy `r`).
+    /// facade picks `Off` for strategy `r`). A stress schedule also walks
+    /// the heap-invariant verifier after every collection.
     pub gc: Option<GcPolicy>,
     /// Ignore all regions and run on one collected heap (the conventional
     /// tracing-GC baseline, standing in for MLton).
     pub baseline: bool,
     /// Use the partly tag-free (untagged pairs/refs/cons) representation
-    /// for kind-homogeneous regions (paper Section 6).
+    /// for kind-homogeneous regions (paper Section 6); applied as each
+    /// region is created.
     pub tag_free: bool,
     /// Step limit.
     pub fuel: u64,
@@ -133,9 +122,6 @@ pub struct ExecOpts {
     /// Fault injection: fail with [`RunError::DepthLimit`] when the
     /// continuation stack exceeds this many frames.
     pub depth_limit: Option<usize>,
-    /// Heap-invariant verification cadence; `None` is
-    /// [`VerifyLevel::AfterGc`] under stress schedules, `Off` otherwise.
-    pub verify: Option<VerifyLevel>,
 }
 
 impl Default for ExecOpts {
@@ -147,7 +133,6 @@ impl Default for ExecOpts {
             fuel: u64::MAX,
             alloc_budget: None,
             depth_limit: None,
-            verify: None,
         }
     }
 }
@@ -314,12 +299,11 @@ struct Act {
 }
 
 struct Machine<'a> {
-    prog: &'a Program,
+    prog: &'a Lowered,
     opts: &'a ExecOpts,
     gc: GcPolicy,
-    verify: VerifyLevel,
-    /// Faults, a stress schedule or the verifier need a look at every
-    /// step; otherwise only a due collection stops the step loop.
+    /// Faults or a stress schedule need a look at every step; otherwise
+    /// only a due collection stops the step loop.
     guarded: bool,
     heap: Heap,
     kont: Vec<Frame>,
@@ -351,26 +335,14 @@ type MResult<T> = Result<T, RunError>;
 /// Sentinel code id of the program body's activation.
 const MAIN: usize = usize::MAX;
 
-/// Runs a region-annotated program whose global region variable is
-/// `global`; `repr` says which `letregion` regions are finite or
-/// untagged.
+/// Runs a lowered program (see [`crate::lower()`]) on a fresh heap.
 ///
 /// # Errors
 ///
 /// See [`RunError`]; in particular [`RunError::Dangling`] reports a
 /// dangling pointer met by the mutator or the collector.
-pub fn run(
-    term: &rml_core::Term,
-    global: RegVar,
-    repr: &ReprInfo,
-    opts: &ExecOpts,
-) -> Result<RunOutcome, RunError> {
-    let prog = crate::lower::lower(term, global, repr, opts.tag_free);
+pub fn run(prog: &Lowered, opts: &ExecOpts) -> Result<RunOutcome, RunError> {
     let gc = opts.gc.unwrap_or_else(GcPolicy::default_on);
-    let verify = opts.verify.unwrap_or(match gc {
-        GcPolicy::Stress(_) => VerifyLevel::AfterGc,
-        _ => VerifyLevel::Off,
-    });
     let mut heap = Heap::new();
     heap.generational = gc.generational();
     match gc {
@@ -396,14 +368,12 @@ pub fn run(
         regs[rb - 1 - i as usize] = heap.create_region(RegionKind::Infinite);
     }
     let mut m = Machine {
-        prog: &prog,
+        prog,
         opts,
         gc,
-        verify,
         guarded: opts.alloc_budget.is_some()
             || opts.depth_limit.is_some()
-            || matches!(gc, GcPolicy::Stress(_))
-            || verify != VerifyLevel::Off,
+            || matches!(gc, GcPolicy::Stress(_)),
         heap,
         kont: Vec::new(),
         acts: vec![Act {
@@ -451,7 +421,7 @@ fn stuck<T>(msg: impl Into<String>) -> MResult<T> {
 /// many are visited now. Bindings count from the outermost: siblings,
 /// then captures (in closure order), then locals.
 fn visit_scope(
-    prog: &Program,
+    prog: &Lowered,
     vals: &mut [u64],
     a: &Act,
     pc: Pc,
@@ -659,40 +629,34 @@ impl Machine<'_> {
         }
     }
 
+    /// Collects when one is due; a stress schedule then walks the
+    /// heap-invariant verifier over the moved roots.
     fn maybe_collect(&mut self, ctrl: &mut Ctrl) -> MResult<()> {
-        let decision = self.gc_decision();
-        let verify_now = match self.verify {
-            VerifyLevel::Off => false,
-            VerifyLevel::AfterGc => decision.is_some(),
-            VerifyLevel::EveryStep => true,
-        };
-        if decision.is_none() && !verify_now {
+        let Some((minor, forced)) = self.gc_decision() else {
             return Ok(());
-        }
+        };
         let mut roots = std::mem::take(&mut self.roots);
         roots.clear();
         self.each_root(ctrl, |v| roots.push(Word(*v)));
-        if let Some((minor, forced)) = decision {
-            self.gc_pending = false;
-            if forced {
-                self.heap.stats.forced_gcs += 1;
-            }
-            match self.heap.collect(&mut roots, minor) {
-                Ok(()) => {}
-                Err(GcError::DanglingPointer { context }) => {
-                    return Err(RunError::Dangling(format!(
-                        "garbage collector traced a pointer into a deallocated \
-                         region ({context}) at step {}",
-                        self.steps
-                    )))
-                }
-                Err(e @ GcError::Corrupt { .. }) => return Err(RunError::Invariant(e.to_string())),
-            }
-            // The same walk again writes the moved roots back in order.
-            let mut moved = roots.iter();
-            self.each_root(ctrl, |v| *v = moved.next().map_or(*v, |w| w.0));
+        self.gc_pending = false;
+        if forced {
+            self.heap.stats.forced_gcs += 1;
         }
-        if verify_now {
+        match self.heap.collect(&mut roots, minor) {
+            Ok(()) => {}
+            Err(GcError::DanglingPointer { context }) => {
+                return Err(RunError::Dangling(format!(
+                    "garbage collector traced a pointer into a deallocated \
+                     region ({context}) at step {}",
+                    self.steps
+                )))
+            }
+            Err(e @ GcError::Corrupt { .. }) => return Err(RunError::Invariant(e.to_string())),
+        }
+        // The same walk again writes the moved roots back in order.
+        let mut moved = roots.iter();
+        self.each_root(ctrl, |v| *v = moved.next().map_or(*v, |w| w.0));
+        if matches!(self.gc, GcPolicy::Stress(_)) {
             match self.heap.verify(&roots) {
                 Ok(_) => {}
                 // A dangling reachable pointer found by the verifier is
@@ -767,7 +731,8 @@ impl Machine<'_> {
                         Some(_) => RegionKind::Finite,
                         None => RegionKind::Infinite,
                     };
-                    let r = self.heap.create_region_uniform(kind, sp.uniform);
+                    let uniform = sp.uniform.filter(|_| self.opts.tag_free);
+                    let r = self.heap.create_region_uniform(kind, uniform);
                     if let Some(b) = sp.bound {
                         self.heap.set_region_bound(r, b);
                     }

@@ -1,6 +1,7 @@
 //! The pipeline up to the machine, shared by the machine's tests.
 
-use rml_eval::{run, ExecOpts, RunError, RunOutcome};
+use rml_core::{RegVar, Term};
+use rml_eval::{lower, run, ExecOpts, RunError, RunOutcome};
 use rml_infer::{infer, Options, Strategy};
 use rml_repr::ReprInfo;
 
@@ -19,5 +20,11 @@ pub fn compile(src: &str, strategy: Strategy) -> rml_infer::Output {
 
 /// Runs `out` with every region infinite and tagged.
 pub fn exec(out: &rml_infer::Output, opts: &ExecOpts) -> Result<RunOutcome, RunError> {
-    run(&out.term, out.global, &ReprInfo::default(), opts)
+    exec_term(&out.term, out.global, opts)
+}
+
+/// Lowers and runs `term`, whose global region variable is `global`, with
+/// every region infinite and tagged.
+pub fn exec_term(term: &Term, global: RegVar, opts: &ExecOpts) -> Result<RunOutcome, RunError> {
+    run(&lower(term, global, &ReprInfo::default()), opts)
 }

@@ -5,10 +5,9 @@
 
 mod common;
 
-use common::{compile, exec};
-use rml_eval::{run, ExecOpts, GcPolicy, RunError, RunValue, VerifyLevel};
+use common::{compile, exec, exec_term};
+use rml_eval::{ExecOpts, GcPolicy, RunError, RunValue};
 use rml_infer::Strategy;
-use rml_repr::ReprInfo;
 
 /// A stale read after a `letregion` pop is detected *at the read* — by
 /// the pointer's page-epoch check, with the collector off and therefore
@@ -47,8 +46,7 @@ fn letregion_pop_stale_read_is_detected_at_the_read() {
         gc: Some(GcPolicy::Off),
         ..ExecOpts::default()
     };
-    let err =
-        run(&term, global, &ReprInfo::default(), &opts).expect_err("the stale read must fault");
+    let err = exec_term(&term, global, &opts).expect_err("the stale read must fault");
     assert!(
         matches!(err, RunError::Dangling(_)),
         "expected a dangling-read fault, got: {err}"
@@ -72,8 +70,7 @@ fn letregion_pop_stale_read_is_detected_at_the_read() {
             None,
         )),
     };
-    let out = run(&sound, global, &ReprInfo::default(), &opts)
-        .expect("global-region contents outlive the pop");
+    let out = exec_term(&sound, global, &opts).expect("global-region contents outlive the pop");
     assert_eq!(out.value, RunValue::Int(4));
     assert_eq!(out.stats.gc_count, 0, "GC off means no collections at all");
 }
@@ -90,7 +87,6 @@ fn stress_schedules_are_deterministic_per_seed() {
     let go = |seed: u64| {
         let opts = ExecOpts {
             gc: Some(GcPolicy::stress_every(3, seed)),
-            verify: Some(VerifyLevel::AfterGc),
             ..ExecOpts::default()
         };
         exec(&out, &opts).expect("stressed run failed")
@@ -152,7 +148,6 @@ fn figure1_under_stress_rg_survives_rg_minus_faults_deterministically() {
     let rg = compile(FIGURE1, Strategy::Rg);
     let opts = ExecOpts {
         gc: Some(GcPolicy::stress_every_step(0x7041_10E5)),
-        verify: Some(VerifyLevel::EveryStep),
         ..ExecOpts::default()
     };
     let out = exec(&rg, &opts).expect("rg must survive stress");

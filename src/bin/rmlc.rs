@@ -13,7 +13,6 @@
 //!   --check                 validate against the Figure 4 typing rules
 //!   --check-full            validate against the FULL GC-safety rules
 //!                           (detects the rg- soundness hole; no run)
-//!   --stats                 print allocation/GC statistics
 //!   -e <expr>               compile `fun main () = <expr>` instead of a file
 //!   --torture               run the differential torture oracle: every
 //!                           strategy × every GC schedule, one verdict
@@ -59,7 +58,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rmlc [--strategy rg|rg-|r] [--baseline] [--no-basis] \
          [--print-term] [--print-schemes] [--check] [--check-full] \
-         [--stats] [--torture] [--gc-stress=N] \
+         [--torture] [--gc-stress=N] \
          [--alloc-budget=N] [--depth-limit=N] [--seed=N] \
          [--profile[=PATH]] [--metrics] [--gen-fuel=N] [--print-src] \
          (<file.rml> | -e <expr> | --gen=SEED)"
@@ -104,7 +103,6 @@ fn main() {
     let mut print_schemes = false;
     let mut do_check = false;
     let mut do_check_full = false;
-    let mut stats = false;
     let mut file: Option<String> = None;
     let mut expr: Option<String> = None;
     let mut torture = false;
@@ -133,7 +131,6 @@ fn main() {
             "--print-schemes" => print_schemes = true,
             "--check" => do_check = true,
             "--check-full" => do_check_full = true,
-            "--stats" => stats = true,
             "--torture" => torture = true,
             "-e" => expr = Some(args.next().unwrap_or_else(|| usage())),
             s if s.starts_with("--gc-stress=") => gc_stress = Some(parse_num(s)),
@@ -280,20 +277,6 @@ fn main() {
                     print!("{}", snap.render_text());
                 }
                 write_profile(&recorder);
-                if stats {
-                    eprintln!(
-                        "steps {}  alloc {}B  peak {}B  regions {}  gc {} \
-                         forced {}  walks {}  faults {}",
-                        out.steps,
-                        out.stats.bytes_allocated,
-                        out.stats.peak_bytes(),
-                        out.stats.regions_created,
-                        out.stats.gc_count,
-                        out.stats.forced_gcs,
-                        out.stats.verify_walks,
-                        out.stats.faults_injected
-                    );
-                }
             }
             Err(e) => {
                 // Runtime faults go through the same diagnostic renderer as

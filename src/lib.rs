@@ -17,10 +17,12 @@
 //!        ──rml-eval───▶ executed on the rml-runtime heap
 //! ```
 //!
-//! [`execute`] hands the compiled term, its global region and its
-//! [`rml_repr::ReprInfo`] straight to [`rml_eval::run`]; the only choice
-//! it makes is the collector default (off for strategy `r`). Run options
-//! are [`ExecOpts`], defined in `rml-eval`.
+//! [`compile`] ends by lowering the term, with its global region and its
+//! [`rml_repr::ReprInfo`], into the machine's code ([`rml_eval::lower()`]),
+//! so a program is lowered once however often it runs. [`execute`] hands
+//! that code straight to [`rml_eval::run`]; the only choice it makes is
+//! the collector default (off for strategy `r`). Run options are
+//! [`ExecOpts`], defined in `rml-eval`.
 //!
 //! and ships the basis library ([`basis`]) and the benchmark programs
 //! ([`programs`]) used to regenerate the paper's evaluation.

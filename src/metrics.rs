@@ -170,11 +170,13 @@ impl MetricsSnapshot {
             self.store.closure_recomputes
         ));
         out.push_str(&format!(
-            "machine: {} steps  {} objects  {} bytes allocated  peak rss {} bytes\n",
+            "machine: {} steps  {} objects  {} bytes allocated  peak rss {} bytes  \
+             {} faults injected\n",
             self.steps,
             self.heap.objects_allocated,
             self.heap.bytes_allocated,
-            self.heap.peak_bytes()
+            self.heap.peak_bytes(),
+            self.heap.faults_injected
         ));
         out.push_str(&format!(
             "heap:    {} regions ({} peak live)  pages {}+/{}-\n",
@@ -184,11 +186,12 @@ impl MetricsSnapshot {
             self.heap.pages_released
         ));
         out.push_str(&format!(
-            "gc:      {} collections ({} minor, {} forced)  {} bytes copied  \
-             pauses p50 {}us p99 {}us max {}us\n",
+            "gc:      {} collections ({} minor, {} forced)  {} verifier walks  \
+             {} bytes copied  pauses p50 {}us p99 {}us max {}us\n",
             self.heap.gc_count,
             self.heap.minor_gc_count,
             self.heap.forced_gcs,
+            self.heap.verify_walks,
             self.heap.bytes_copied,
             self.pauses.p50_us,
             self.pauses.p99_us,

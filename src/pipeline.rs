@@ -1,5 +1,5 @@
 //! The compilation pipeline: parse → type → region-infer → analyse →
-//! execute.
+//! lower, then execute.
 
 use rml_eval::{ExecOpts, GcPolicy, RunError, RunOutcome};
 use rml_infer::{Options, SpuriousStyle, Strategy};
@@ -51,6 +51,8 @@ pub struct Compiled {
     pub output: rml_infer::Output,
     /// Representation analyses.
     pub repr: ReprInfo,
+    /// The term lowered for the machine; every [`execute`] runs it.
+    pub lowered: rml_eval::Lowered,
     /// The strategy used.
     pub strategy: Strategy,
     /// Per-phase compilation wall times.
@@ -174,12 +176,14 @@ fn compile_source(
         rml_repr::analyze(&output.term)
     };
     let repr_time = t.elapsed();
+    let lowered = rml_eval::lower(&output.term, output.global, &repr);
     COMPILES.fetch_add(1, Ordering::Relaxed);
     Ok(Compiled {
         source: src.to_string(),
         basis_decls,
         output,
         repr,
+        lowered,
         strategy,
         timings: CompileTimings {
             parse,
@@ -378,7 +382,7 @@ pub fn emit_ir(c: &Compiled) -> Vec<u8> {
     rml_core::ir::encode_program(&prog)
 }
 
-/// Executes a compiled program on the region heap.
+/// Executes a compiled program on a fresh region heap.
 ///
 /// # Errors
 ///
@@ -390,12 +394,7 @@ pub fn execute(c: &Compiled, opts: &ExecOpts) -> Result<RunOutcome, RunError> {
         Strategy::R => Some(GcPolicy::Off),
         _ => None,
     });
-    rml_eval::run(
-        &c.output.term,
-        c.output.global,
-        &c.repr,
-        &ExecOpts { gc, ..*opts },
-    )
+    rml_eval::run(&c.lowered, &ExecOpts { gc, ..*opts })
 }
 
 #[cfg(test)]

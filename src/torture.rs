@@ -33,7 +33,7 @@
 //! (the machine is resumable from a clean heap after a rejected run).
 
 use crate::pipeline::{compile_opts, compile_with_basis, CompileError, Compiled};
-use rml_eval::{ExecOpts, GcPolicy, RunError, VerifyLevel};
+use rml_eval::{ExecOpts, GcPolicy, RunError};
 use rml_infer::{SpuriousStyle, Strategy};
 use std::fmt::Write as _;
 
@@ -42,10 +42,9 @@ use std::fmt::Write as _;
 pub struct Schedule {
     /// Display name (stable; used in reports and JSON).
     pub name: &'static str,
-    /// GC policy; `None` means the strategy default.
+    /// GC policy; `None` means the strategy default. The stress
+    /// schedules walk the heap verifier after every collection.
     pub gc: Option<GcPolicy>,
-    /// Verifier cadence; `None` means the policy default.
-    pub verify: Option<VerifyLevel>,
 }
 
 /// The four schedules of the matrix, all driven by `seed`.
@@ -54,22 +53,18 @@ pub fn schedules(seed: u64) -> Vec<Schedule> {
         Schedule {
             name: "default",
             gc: None,
-            verify: None,
         },
         Schedule {
             name: "stress-step",
             gc: Some(GcPolicy::stress_every_step(seed)),
-            verify: Some(VerifyLevel::EveryStep),
         },
         Schedule {
             name: "stress-gen",
             gc: Some(GcPolicy::stress_generational(16, seed)),
-            verify: Some(VerifyLevel::AfterGc),
         },
         Schedule {
             name: "no-gc",
             gc: Some(GcPolicy::Off),
-            verify: None,
         },
     ]
 }
@@ -83,7 +78,8 @@ pub struct TortureOpts {
     /// that runs out of fuel does so identically in every cell and the
     /// matrix still agrees.
     pub fuel: u64,
-    /// Prepend the basis library when compiling from source.
+    /// Prepend the basis library when compiling from source; read only by
+    /// [`torture`], since [`torture_compiled`] takes compiled programs.
     pub with_basis: bool,
     /// Run the fault-injection probes (allocation budget, depth limit).
     pub faults: bool,
@@ -242,7 +238,6 @@ fn run_cell(c: &Compiled, baseline: bool, sched: &Schedule, opts: &TortureOpts) 
     let eo = ExecOpts {
         gc: sched.gc,
         baseline,
-        verify: sched.verify,
         fuel: opts.fuel,
         ..ExecOpts::default()
     };

@@ -83,7 +83,15 @@ fn metrics_flag_prints_the_unified_snapshot() {
         .unwrap();
     assert!(out.status.success(), "{:?}", out.status);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["== metrics ==", "compile:", "store:", "machine:", "gc:"] {
+    for needle in [
+        "== metrics ==",
+        "compile:",
+        "store:",
+        "machine:",
+        "gc:",
+        " 0 verifier walks",
+        " 0 faults injected",
+    ] {
         assert!(stdout.contains(needle), "missing {needle} in: {stdout}");
     }
 }

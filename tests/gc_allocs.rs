@@ -9,10 +9,11 @@
 //! inside `rml::execute`. It stays a single-test binary so the count is
 //! taken on one thread with nothing else in flight.
 //!
-//! The count includes each run's own set-up (lowering, the basis) and
-//! its machine steps, so the ratio is an upper bound on what one
-//! collection and one walk allocate; one host allocation per call would
-//! add 1.0 to it. The budget is the measured ratio plus 20% headroom.
+//! The count includes each run's own set-up (its fresh heap; the program
+//! is lowered at compile time) and its machine steps, so the ratio is an
+//! upper bound on what one collection and one walk allocate; one host
+//! allocation per call would add 1.0 to it. The budget is the measured
+//! ratio plus 20% headroom.
 
 use rml::{compile_with_basis, execute, ExecOpts, Strategy};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -71,7 +72,6 @@ fn collections_and_verifier_walks_stay_within_budget() {
             let c = compile_with_basis(p.source, Strategy::Rg).expect("compile");
             let opts = ExecOpts {
                 gc: stress_step.gc,
-                verify: stress_step.verify,
                 ..ExecOpts::default()
             };
             let before = allocs();

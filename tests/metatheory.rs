@@ -281,6 +281,24 @@ fn tag_free_representation_agrees_and_saves_memory() {
         untagged.stats.bytes_allocated,
         tagged.stats.bytes_allocated
     );
+
+    // The option is a run's, not the compilation's: one `Compiled` run
+    // untagged, tagged, then untagged again allocates alike under equal
+    // options, so nothing of a run's `tag_free` stays in the shared code.
+    let src = "fun build n = if n = 0 then nil else (n, n) :: build (n - 1) \
+               fun sum xs = case xs of nil => 0 | p :: t => #1 p + #2 p + sum t \
+               fun main () = sum (build 300)";
+    let c = compile(src, Strategy::Rg).unwrap();
+    let bytes = |tag_free: bool| {
+        let opts = rml::ExecOpts {
+            tag_free,
+            ..rml::ExecOpts::default()
+        };
+        rml::execute(&c, &opts).unwrap().stats.bytes_allocated
+    };
+    let (first, tagged, again) = (bytes(true), bytes(false), bytes(true));
+    assert_eq!(first, again, "untagged runs of one compilation differ");
+    assert!(first < tagged, "untagged {first} vs tagged {tagged}");
 }
 
 #[test]

@@ -350,7 +350,6 @@ fn metrics_snapshot_agrees_with_torture_rig_heap_stats() {
         let c = rml::compile_with_basis(p.source, Strategy::Rg).unwrap();
         let tortured = ExecOpts {
             gc: Some(rml_eval::GcPolicy::stress_every(64, 0x7041_10E5)),
-            verify: Some(rml_eval::VerifyLevel::AfterGc),
             ..ExecOpts::default()
         };
         let out = execute(&c, &tortured).unwrap();

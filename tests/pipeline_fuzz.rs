@@ -32,8 +32,15 @@ fn cases(base: u64) -> impl Iterator<Item = (u64, String)> {
     })
 }
 
+/// In debug builds the Figure 4 checker alone needs nearly all of the
+/// default 2-MB test thread on these programs, so the cases run on a big
+/// stack.
 #[test]
 fn random_programs_are_gc_safe_and_strategy_independent() {
+    rml::run_with_big_stack(random_programs_are_gc_safe_and_strategy_independent_body);
+}
+
+fn random_programs_are_gc_safe_and_strategy_independent_body() {
     for (seed, src) in cases(1_000) {
         // rg: must check and run under the containment monitor.
         let rg = compile(&src, Strategy::Rg)
