@@ -51,7 +51,7 @@ use rml_syntax::Program;
 /// that rejected).
 fn oracle(name: &str, src: &str, topts: &rml::torture::TortureOpts) -> Result<Report, String> {
     // Oracle 1: rg compiles and passes the full checker.
-    let render = |d: &rml::Diagnostic| render_diagnostic(d, src, false, name);
+    let render = |d: &rml::Diagnostic| render_diagnostic(d, src, name);
     let rg = compile(src, Strategy::Rg)
         .map_err(|e| format!("rg compile failed:\n{}", render(e.diagnostic())))?;
     check_full(&rg).map_err(|d| format!("check_full rejected rg output:\n{}", render(&d)))?;

@@ -41,6 +41,6 @@ pub mod pretty;
 pub mod symbol;
 
 pub use ast::{Decl, Expr, ExprKind, FunBind, Program, TyAnn};
-pub use parser::{parse_expr, parse_program, ParseError};
+pub use parser::{parse_expr, parse_program, parse_program_at, ParseError};
 pub use rml_session::Span;
 pub use symbol::Symbol;

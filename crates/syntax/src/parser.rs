@@ -76,6 +76,24 @@ struct Param {
 type PResult<T> = Result<T, ParseError>;
 
 impl Parser {
+    /// Lexes `src`, giving its byte `i` the span offset `offset + i`.
+    fn new(src: &str, offset: u32, fresh: u32) -> Result<Parser, ParseError> {
+        let shift = |sp: Span| Span::new(sp.start + offset, sp.end + offset);
+        let mut toks = lex(src).map_err(|e| ParseError {
+            span: shift(e.span),
+            ..ParseError::from(e)
+        })?;
+        for t in &mut toks {
+            t.span = shift(t.span);
+        }
+        Ok(Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+            fresh,
+        })
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos).map(|t| &t.tok)
     }
@@ -864,18 +882,24 @@ impl Parser {
 /// assert_eq!(p.decls.len(), 1);
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        depth: 0,
-        fresh: 0,
-    };
+    parse_program_at(src, 0, 0).map(|(prog, _)| prog)
+}
+
+/// As [`parse_program`], but byte `i` of `src` gets the span offset
+/// `offset + i` and tuple parameters are named from `p#fresh` on. Also
+/// returns the next unused fresh number, so that a program parsed later
+/// can continue the numbering as if the two were one text.
+///
+/// # Errors
+///
+/// As [`parse_program`].
+pub fn parse_program_at(src: &str, offset: u32, fresh: u32) -> Result<(Program, u32), ParseError> {
+    let mut p = Parser::new(src, offset, fresh)?;
     let mut decls = Vec::new();
     while p.peek().is_some() {
         decls.push(p.decl()?);
     }
-    Ok(Program { decls })
+    Ok((Program { decls }, p.fresh))
 }
 
 /// Parses a single expression, requiring all input to be consumed.
@@ -892,13 +916,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// assert_eq!(e.size(), 4);
 /// ```
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        depth: 0,
-        fresh: 0,
-    };
+    let mut p = Parser::new(src, 0, 0)?;
     let e = p.expr()?;
     if p.peek().is_some() {
         return Err(p.err_here("trailing input after expression"));
@@ -1122,6 +1140,20 @@ mod tests {
             &src[e.span.start as usize..e.span.end as usize],
             "fn x => x + 1"
         );
+    }
+
+    #[test]
+    fn a_program_parsed_at_an_offset_continues_spans_and_fresh_names() {
+        let (a, fresh) = parse_program_at("fun f (x, y) = x", 0, 0).unwrap();
+        let (b, next) = parse_program_at("fun g (x, y) = y", 100, fresh).unwrap();
+        assert_eq!((fresh, next), (1, 2));
+        for (p, n, start) in [(a, 0, 4), (b, 1, 104)] {
+            let Decl::Fun(binds) = &p.decls[0] else {
+                panic!()
+            };
+            assert_eq!(binds[0].params[0].0, Symbol::fresh("p", n));
+            assert_eq!(binds[0].span.start, start);
+        }
     }
 
     #[test]

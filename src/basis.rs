@@ -11,8 +11,35 @@
 //! MLKit implementation of the entire Standard ML Basis Library contains
 //! only three spurious functions, which include the top-level composition
 //! function `o` and the functions `Option.compose` and
-//! `Option.mapPartial`". (`rml::pipeline::compile_with_basis` prepends
-//! this source; the count is asserted by `tests/basis_spurious.rs`.)
+//! `Option.mapPartial`". (The count is asserted by
+//! `tests/basis_spurious.rs`.)
+//!
+//! The basis is parsed once per process; `rml::compile_with_basis` puts
+//! the declarations a program reaches before the program's own. Its spans
+//! lie in a range of their own, so a span's range names its file.
+
+use rml_session::Span;
+use rml_syntax::Program;
+use std::sync::OnceLock;
+
+/// The span offset of the basis's first byte, above any user source's.
+const SPAN_BASE: u32 = 1 << 31;
+
+/// The basis, parsed on the first call of the process (spans from
+/// [`SPAN_BASE`] on), and the parser's fresh-name counter after it: a
+/// program parsed against the basis names its tuple parameters from there.
+pub(crate) fn parsed() -> &'static (Program, u32) {
+    static PARSED: OnceLock<(Program, u32)> = OnceLock::new();
+    PARSED.get_or_init(|| {
+        rml_syntax::parse_program_at(BASIS, SPAN_BASE, 0).expect("the basis parses")
+    })
+}
+
+/// The range in [`BASIS`] of a span of the basis's declarations, or
+/// `None` for any other span (the user's, or a dummy).
+pub(crate) fn span_in_basis(span: Span) -> Option<Span> {
+    (span.start >= SPAN_BASE).then(|| Span::new(span.start - SPAN_BASE, span.end - SPAN_BASE))
+}
 
 /// The basis source.
 pub const BASIS: &str = r#"

@@ -4,7 +4,7 @@
 //! rmlc [options] <file.rml>
 //!   --strategy rg|rg-|r     compilation strategy (default rg)
 //!   --baseline              run on the regionless tracing-GC machine
-//!   --no-basis              do not prepend the basis library
+//!   --no-basis              compile without the basis library
 //!   --print-term            print the region-annotated program
 //!   --print-schemes         print the inferred region type schemes of
 //!                           the program's functions and of the basis
@@ -42,10 +42,11 @@
 //! ```
 //!
 //! Compile and check errors are rendered as source-located diagnostics
-//! with caret underlines (see `rml_session::Diagnostic`), at the line of
-//! the user's file even when the basis is prepended; a span inside the
-//! basis is labelled `<basis>`. Runtime faults render through the same
-//! path as the `E0005` family.
+//! with caret underlines (see `rml_session::Diagnostic`). The basis is
+//! parsed once, apart from the user's file, and a span's range names its
+//! file: the user's spans render at the user's own lines, with or
+//! without the basis, and a span in the basis is labelled `<basis>`.
+//! Runtime faults render through the same path as the `E0005` family.
 
 use rml::{
     check, check_full, compile, compile_with_basis, execute, render_diagnostic, ExecOpts,
@@ -208,10 +209,7 @@ fn main() {
                     std::process::exit(i32::from(!rep.ok()))
                 }
                 Err(e) => {
-                    eprint!(
-                        "{}",
-                        render_diagnostic(e.diagnostic(), &src, use_basis, &name)
-                    );
+                    eprint!("{}", render_diagnostic(e.diagnostic(), &src, &name));
                     write_profile(&recorder);
                     std::process::exit(1)
                 }
@@ -223,10 +221,7 @@ fn main() {
             compile(&src, strategy)
         })
         .unwrap_or_else(|e| {
-            eprint!(
-                "{}",
-                render_diagnostic(e.diagnostic(), &src, use_basis, &name)
-            );
+            eprint!("{}", render_diagnostic(e.diagnostic(), &src, &name));
             std::process::exit(1)
         });
         if print_schemes {
@@ -253,7 +248,7 @@ fn main() {
             match check_full(&compiled) {
                 Ok(()) => eprintln!("rmlc: full GC-safety check passed"),
                 Err(d) => {
-                    eprint!("{}", render_diagnostic(&d, &src, use_basis, &name));
+                    eprint!("{}", render_diagnostic(&d, &src, &name));
                     std::process::exit(1)
                 }
             }
@@ -282,10 +277,7 @@ fn main() {
                 // Runtime faults go through the same diagnostic renderer as
                 // compile errors (the E0005 family). They carry no span, so
                 // this prints the coded header and notes, not an excerpt.
-                eprint!(
-                    "{}",
-                    render_diagnostic(&e.to_diagnostic(), &src, use_basis, &name)
-                );
+                eprint!("{}", render_diagnostic(&e.to_diagnostic(), &src, &name));
                 write_profile(&recorder);
                 std::process::exit(1)
             }

@@ -4,13 +4,12 @@
 use rml_eval::{ExecOpts, GcPolicy, RunError, RunOutcome};
 use rml_infer::{Options, SpuriousStyle, Strategy};
 use rml_repr::ReprInfo;
-use rml_session::{trace, Diagnostic, SourceMap, Span};
+use rml_session::{trace, Diagnostic, SourceMap};
 use rml_syntax::ast::{Decl, Expr, ExprKind, Program};
 use rml_syntax::Symbol;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Process-wide count of completed compilations (any strategy). The
@@ -26,8 +25,9 @@ pub fn compile_count() -> u64 {
 /// Wall-clock time spent in each compilation phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileTimings {
-    /// Lexing + parsing (with the basis, also dropping the basis
-    /// declarations the program does not reach).
+    /// Lexing + parsing the user's source (with the basis, also selecting
+    /// the basis declarations the program reaches; the basis itself is
+    /// parsed once per process, in the first such compile).
     pub parse: Duration,
     /// Hindley–Milner typing.
     pub types: Duration,
@@ -42,7 +42,9 @@ pub struct CompileTimings {
 /// A compiled program.
 #[derive(Debug)]
 pub struct Compiled {
-    /// The source, as parsed (including any prepended basis).
+    /// The user's source, as given: every span of the user's declarations
+    /// is an offset into it (the basis's spans are in a range of their
+    /// own, see [`render_diagnostic`]).
     pub source: String,
     /// How many basis declarations were compiled: they come first, and
     /// every later top-level declaration is the user's.
@@ -126,26 +128,29 @@ pub fn compile_opts(
     strategy: Strategy,
     style: SpuriousStyle,
 ) -> Result<Compiled, CompileError> {
-    compile_source(src, strategy, style, 0)
+    compile_source(src, strategy, style, false)
 }
 
-/// Compiles `src`, whose first `basis` top-level declarations are the
-/// basis library's: of those, only the ones the rest of the program
-/// reaches are typed and compiled (see [`shake_basis`]).
+/// Compiles `src`; `with_basis` puts in front of it the basis
+/// declarations it reaches (see [`shake_basis`]).
 fn compile_source(
     src: &str,
     strategy: Strategy,
     style: SpuriousStyle,
-    basis: usize,
+    with_basis: bool,
 ) -> Result<Compiled, CompileError> {
     let _compile_span = trace::span("compile", "pipeline");
     let start = Instant::now();
     let (prog, basis_decls) = {
         let _s = trace::span("parse", "pipeline");
-        let mut prog = rml_syntax::parse_program(src).map_err(|e| {
+        // The basis is parsed before the user's source is lexed, so names
+        // are interned as if the basis came first in one text.
+        let basis = with_basis.then(crate::basis::parsed);
+        let fresh = basis.map_or(0, |(_, fresh)| *fresh);
+        let (mut prog, _) = rml_syntax::parse_program_at(src, 0, fresh).map_err(|e| {
             CompileError::Parse(Diagnostic::error("E0001", e.msg.clone()).with_primary(e.span))
         })?;
-        let kept = shake_basis(&mut prog, basis);
+        let kept = basis.map_or(0, |(b, _)| shake_basis(&mut prog, &b.decls));
         (prog, kept)
     };
     let parse = start.elapsed();
@@ -195,84 +200,73 @@ fn compile_source(
     })
 }
 
-/// Compiles against the basis library (see [`crate::basis`]): `src` is
-/// parsed with the basis prepended, so spans stay in one text (see
-/// [`render_diagnostic`]), but only the basis declarations the program
-/// reaches are typed and compiled. `compile(BASIS, …)` compiles the whole
-/// basis.
+/// Compiles against the basis library (see [`crate::basis`]): only the
+/// basis declarations the program reaches are typed and compiled, taken
+/// from the basis parsed once per process. `src`'s spans stay offsets
+/// into `src` (see [`render_diagnostic`]). `compile(BASIS, …)` compiles
+/// the whole basis.
 ///
 /// # Errors
 ///
 /// As [`compile`].
 pub fn compile_with_basis(src: &str, strategy: Strategy) -> Result<Compiled, CompileError> {
-    let full = format!("{}\n{}", crate::basis::BASIS, src);
-    compile_source(
-        &full,
-        strategy,
-        SpuriousStyle::default(),
-        basis_decl_count(),
-    )
+    compile_source(src, strategy, SpuriousStyle::default(), true)
 }
 
-/// The number of top-level declarations in the basis.
-fn basis_decl_count() -> usize {
-    static COUNT: OnceLock<usize> = OnceLock::new();
-    *COUNT.get_or_init(|| {
-        rml_syntax::parse_program(crate::basis::BASIS)
-            .expect("the basis parses")
-            .decls
-            .len()
-    })
-}
-
-/// Drops the declarations among the first `basis` of `prog` that the
-/// rest of the program does not reach, and returns how many of them are
-/// kept.
+/// Puts in front of `prog` the declarations of `basis` that it reaches,
+/// and returns how many there are.
 ///
-/// The walk goes from the last declaration to the first with the set of
-/// names still needed. A later declaration is always kept, so the user's
-/// unused or ill-typed functions are still checked. An earlier one is
-/// kept only if it binds a needed name. A kept declaration's bound names
+/// The walk goes from the program's last declaration to the basis's
+/// first with the set of names still needed. Every declaration of the
+/// program is kept, so the user's unused or ill-typed functions are
+/// still checked. A basis declaration is kept only if it binds a needed
+/// name (or declares an exception). A kept declaration's bound names
 /// leave the set (a `fun` group's after its bodies, as it is recursive)
 /// and the names it mentions join it. The mentions are every variable
 /// and exception name in it, binders ignored, so the walk can only keep
 /// too much.
-fn shake_basis(prog: &mut Program, basis: usize) -> usize {
-    if basis == 0 {
-        return 0;
-    }
+fn shake_basis(prog: &mut Program, basis: &[Decl]) -> usize {
     let mut needed = HashSet::new();
-    let mut keep = vec![true; prog.decls.len()];
-    for (i, d) in prog.decls.iter().enumerate().rev() {
-        match d {
-            Decl::Val(x, e) => {
-                if i < basis && !needed.contains(x) {
-                    keep[i] = false;
-                    continue;
-                }
-                needed.remove(x);
-                mentions(e, &mut needed);
-            }
-            Decl::Fun(binds) => {
-                if i < basis && !binds.iter().any(|b| needed.contains(&b.name)) {
-                    keep[i] = false;
-                    continue;
-                }
-                for b in binds {
-                    mentions(&b.body, &mut needed);
-                }
-                for b in binds {
-                    needed.remove(&b.name);
-                }
-            }
-            // An exception constructor is no value: the name stays needed.
-            Decl::Exception(..) => {}
+    for d in prog.decls.iter().rev() {
+        need(d, &mut needed);
+    }
+    let mut decls = Vec::new();
+    for d in basis.iter().rev() {
+        let reached = match d {
+            Decl::Val(x, _) => needed.contains(x),
+            Decl::Fun(binds) => binds.iter().any(|b| needed.contains(&b.name)),
+            Decl::Exception(..) => true,
+        };
+        if reached {
+            need(d, &mut needed);
+            decls.push(d.clone());
         }
     }
-    let kept = keep.iter().take(basis).filter(|k| **k).count();
-    let mut keep = keep.into_iter();
-    prog.decls.retain(|_| keep.next() == Some(true));
+    decls.reverse();
+    let kept = decls.len();
+    decls.append(&mut prog.decls);
+    prog.decls = decls;
     kept
+}
+
+/// Updates the names `needed` before the kept declaration `d`.
+fn need(d: &Decl, needed: &mut HashSet<Symbol>) {
+    match d {
+        Decl::Val(x, e) => {
+            needed.remove(x);
+            mentions(e, needed);
+        }
+        Decl::Fun(binds) => {
+            for b in binds {
+                mentions(&b.body, needed);
+            }
+            for b in binds {
+                needed.remove(&b.name);
+            }
+        }
+        // An exception constructor is no value: the name stays needed.
+        Decl::Exception(..) => {}
+    }
 }
 
 /// Adds every variable and exception name in `e` to `out`.
@@ -287,23 +281,19 @@ fn mentions(e: &Expr, out: &mut HashSet<Symbol>) {
 }
 
 /// Renders a diagnostic from a compile of the user's program `src`
-/// (labelled `name`, a file name or `<expr>`), made with the basis
-/// prepended when `with_basis`. Line numbers are always the user's own:
-/// a span past the prefix [`compile_with_basis`] adds is shifted back
-/// into `src`, and a span inside the basis is rendered against the basis
-/// and labelled `<basis>`.
-pub fn render_diagnostic(d: &Diagnostic, src: &str, with_basis: bool, name: &str) -> String {
-    // `compile_with_basis` puts the basis and one newline before `src`.
-    let prefix = crate::basis::BASIS.len() as u32 + 1;
-    if !with_basis || d.primary.is_dummy() {
-        return d.render(&SourceMap::new(src), name);
+/// (labelled `name`, a file name or `<expr>`), with or without the
+/// basis. A span's range names its file: a span of the basis's
+/// declarations is rendered against the basis and labelled `<basis>`,
+/// and any other span is an offset into `src`.
+pub fn render_diagnostic(d: &Diagnostic, src: &str, name: &str) -> String {
+    match crate::basis::span_in_basis(d.primary) {
+        Some(span) => {
+            let mut basis = d.clone();
+            basis.primary = span;
+            basis.render(&SourceMap::new(crate::basis::BASIS), "<basis>")
+        }
+        None => d.render(&SourceMap::new(src), name),
     }
-    if d.primary.start < prefix {
-        return d.render(&SourceMap::new(crate::basis::BASIS), "<basis>");
-    }
-    let mut user = d.clone();
-    user.primary = Span::new(d.primary.start - prefix, d.primary.end - prefix);
-    user.render(&SourceMap::new(src), name)
 }
 
 /// Validates a compiled program against the paper's typing rules

@@ -32,9 +32,9 @@
 //! [`RunError`]s and that a clean re-run still agrees with the reference
 //! (the machine is resumable from a clean heap after a rejected run).
 
-use crate::pipeline::{compile_opts, compile_with_basis, CompileError, Compiled};
+use crate::pipeline::{compile, compile_with_basis, CompileError, Compiled};
 use rml_eval::{ExecOpts, GcPolicy, RunError};
-use rml_infer::{SpuriousStyle, Strategy};
+use rml_infer::Strategy;
 use std::fmt::Write as _;
 
 /// One GC schedule of the torture matrix.
@@ -78,8 +78,9 @@ pub struct TortureOpts {
     /// that runs out of fuel does so identically in every cell and the
     /// matrix still agrees.
     pub fuel: u64,
-    /// Prepend the basis library when compiling from source; read only by
-    /// [`torture`], since [`torture_compiled`] takes compiled programs.
+    /// Compile against the basis library when compiling from source; read
+    /// only by [`torture`], since [`torture_compiled`] takes compiled
+    /// programs.
     pub with_basis: bool,
     /// Run the fault-injection probes (allocation budget, depth limit).
     pub faults: bool,
@@ -485,7 +486,7 @@ pub fn torture(name: &str, src: &str, opts: &TortureOpts) -> Result<Report, Comp
         if opts.with_basis {
             compile_with_basis(src, s)
         } else {
-            compile_opts(src, s, SpuriousStyle::default())
+            compile(src, s)
         }
     };
     let rg = comp(Strategy::Rg)?;

@@ -106,7 +106,7 @@ fn transitive_uses_are_kept() {
 }
 
 /// An unused user declaration is still typed: its error is reported at
-/// the user's line.
+/// the user's line, at the same span as without the basis.
 #[test]
 fn an_unused_ill_typed_user_declaration_still_fails() {
     rml::run_with_big_stack(|| {
@@ -114,8 +114,11 @@ fn an_unused_ill_typed_user_declaration_still_fails() {
         let err = compile_with_basis(src, Strategy::Rg).unwrap_err();
         let d = err.diagnostic();
         assert_eq!(d.code, "E0002");
-        let r = render_diagnostic(d, src, true, "prog.rml");
+        let r = render_diagnostic(d, src, "prog.rml");
         assert!(r.contains("--> prog.rml:2:"), "{r}");
+        let alone = compile(src, Strategy::Rg).unwrap_err();
+        assert_eq!(d.primary, alone.diagnostic().primary);
+        assert_eq!(r, render_diagnostic(alone.diagnostic(), src, "prog.rml"));
     });
 }
 
